@@ -24,19 +24,23 @@ from .errors import (
     UnsupportedKindError,
 )
 from .signal import FrameConfig, WindowKind
-from .vocoder import ClipMode, analyze, synthesize
+from .vocoder import KINDS, ClipMode, analyze, synthesize
 
-ALGO_KINDS = {
-    "fft-real": "real_fft",
-    "dct": "dct",
-    "prft": "packed_rfft",
-    "magnitude": "magnitude",
-}
-STAGE_NAMES = {
-    "synth": "synthesize_only",
-    "analyze": "analyze_only",
-    "roundtrip": "roundtrip",
-}
+ALGO_KINDS = {k.algo: kind for kind, k in KINDS.items()}
+STAGE_NAMES = dict(zip(("synth", "analyze", "roundtrip"), bench_mod.STAGES))
+
+# dispatch() reports the first matching row, so subclasses precede bases.
+_ERROR_CATEGORIES = (
+    (UnsupportedCodecError, "codec"),
+    (FormatError, "format"),
+    (InvalidConfigError, "config"),
+    (UnsupportedKindError, "unsupported"),
+    (InvalidInputError, "input"),
+    (MeasurementError, "measurement"),
+    (SpecinvError, "internal"),
+    (MemoryError, "memory"),
+    (OSError, "io"),
+)
 
 
 class _UsageError(Exception):
@@ -50,7 +54,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_pipeline_flags(p, include_clip=True):
+def _add_threads_flag(p):
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker threads for batch transforms (default 1)",
+    )
+
+
+def _add_encoding_flag(p):
+    p.add_argument(
+        "--encoding",
+        choices=("pcm16", "float32"),
+        default="float32",
+        help="WAV sample encoding (default float32)",
+    )
+
+
+def _add_pipeline_flags(p):
     p.add_argument(
         "--algo",
         required=True,
@@ -66,25 +89,18 @@ def _add_pipeline_flags(p, include_clip=True):
         metavar="KIND",
         help="analysis window: hann, boxcar or kaiser:BETA (default hann)",
     )
-    if include_clip:
-        p.add_argument(
-            "--clip",
-            default="none",
-            metavar="MODE",
-            help="coefficient clipping: none, zero or threshold:TAU (default none)",
-        )
+    p.add_argument(
+        "--clip",
+        default="none",
+        metavar="MODE",
+        help="coefficient clipping: none, zero or threshold:TAU (default none)",
+    )
     p.add_argument(
         "--no-center",
         action="store_true",
         help="disable center padding (drops trailing partial frames)",
     )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for batch transforms (default 1)",
-    )
+    _add_threads_flag(p)
 
 
 def _frame_config(args) -> FrameConfig:
@@ -120,13 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input", metavar="IN.mvs", help="input MVS1 spectrogram file")
     p.add_argument("output", metavar="OUT.wav", help="output WAV file")
-    p.add_argument(
-        "--encoding",
-        choices=("pcm16", "float32"),
-        default="float32",
-        help="WAV sample encoding (default float32)",
-    )
-    p.add_argument("--threads", type=int, default=1, metavar="N", help="worker threads for batch transforms (default 1)")
+    _add_encoding_flag(p)
+    _add_threads_flag(p)
 
     p = sub.add_parser(
         "roundtrip",
@@ -136,12 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", metavar="IN.wav", help="input WAV file")
     p.add_argument("output", metavar="OUT.wav", help="output WAV file")
     _add_pipeline_flags(p)
-    p.add_argument(
-        "--encoding",
-        choices=("pcm16", "float32"),
-        default="float32",
-        help="WAV sample encoding (default float32)",
-    )
+    _add_encoding_flag(p)
     p.add_argument(
         "--report",
         action="store_true",
@@ -282,29 +288,9 @@ def dispatch(argv) -> int:
     except _UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    except UnsupportedCodecError as exc:
-        print(f"error: codec: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"error: format: {exc}", file=sys.stderr)
-        return 1
-    except InvalidConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 1
-    except UnsupportedKindError as exc:
-        print(f"error: unsupported: {exc}", file=sys.stderr)
-        return 1
-    except InvalidInputError as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return 1
-    except MeasurementError as exc:
-        print(f"error: measurement: {exc}", file=sys.stderr)
-        return 1
-    except SpecinvError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
+    except tuple(cls for cls, _ in _ERROR_CATEGORIES) as exc:
+        category = next(cat for cls, cat in _ERROR_CATEGORIES if isinstance(exc, cls))
+        print(f"error: {category}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -37,8 +37,8 @@ import warnings
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, UnsupportedCodecError
-from .signal import FrameConfig, Waveform, WindowKind
-from .vocoder import ClipMode, Spectrogram
+from .signal import WINDOW_NAMES, FrameConfig, Waveform, WindowKind
+from .vocoder import CLIP_MODES, SPECTROGRAM_KINDS, ClipMode, Spectrogram
 
 __all__ = [
     "MultiChannelWarning",
@@ -53,13 +53,11 @@ __all__ = [
 SPEC_MAGIC = b"MVS1"
 SPEC_VERSION = 1
 _HEADER = struct.Struct("<4sHBBBffIIBIQII")
-
-_KIND_CODES = {"real_fft": 0, "dct": 1, "packed_rfft": 2, "magnitude": 3}
-_WINDOW_CODES = {"hann": 0, "kaiser": 1, "boxcar": 2}
-_CLIP_CODES = {"none": 0, "zero": 1, "threshold": 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-_WINDOW_NAMES = {v: k for k, v in _WINDOW_CODES.items()}
-_CLIP_NAMES = {v: k for k, v in _CLIP_CODES.items()}
+_HEADER_FIELDS = (
+    "magic", "version", "kind", "window", "clip", "clip_tau", "kaiser_beta",
+    "win_length", "hop_length", "centered", "sample_rate", "original_length",
+    "n_frames", "n_bins",
+)
 
 _WAVE_PCM = 0x0001
 _WAVE_IEEE_FLOAT = 0x0003
@@ -230,9 +228,9 @@ def write_spec(path, spec: Spectrogram) -> None:
     header = _HEADER.pack(
         SPEC_MAGIC,
         SPEC_VERSION,
-        _KIND_CODES[spec.kind],
-        _WINDOW_CODES[cfg.window.name],
-        _CLIP_CODES[spec.clip.mode],
+        SPECTROGRAM_KINDS.index(spec.kind),
+        WINDOW_NAMES.index(cfg.window.name),
+        CLIP_MODES.index(spec.clip.mode),
         spec.clip.tau,
         cfg.window.beta,
         cfg.win_length,
@@ -251,49 +249,22 @@ def _parse_spec_header(raw: bytes) -> dict:
         raise FormatError(
             f"truncated header: expected {_HEADER.size} bytes, got {len(raw)}"
         )
-    (
-        magic,
-        version,
-        kind_code,
-        window_code,
-        clip_code,
-        clip_tau,
-        kaiser_beta,
-        win_length,
-        hop_length,
-        centered,
-        sample_rate,
-        original_length,
-        n_frames,
-        n_bins,
-    ) = _HEADER.unpack_from(raw)
+    head = dict(zip(_HEADER_FIELDS, _HEADER.unpack_from(raw)))
+    magic = head.pop("magic")
+    version = head.pop("version")
     if magic != SPEC_MAGIC:
         raise FormatError(f"bad magic {magic!r}; expected {SPEC_MAGIC!r}")
     if version != SPEC_VERSION:
         raise FormatError(f"unsupported version {version}; expected {SPEC_VERSION}")
-    for code, names, what in (
-        (kind_code, _KIND_NAMES, "kind"),
-        (window_code, _WINDOW_NAMES, "window"),
-        (clip_code, _CLIP_NAMES, "clip"),
-    ):
-        if code not in names:
-            raise FormatError(f"unknown {what} code {code}")
-    if centered not in (0, 1):
-        raise FormatError(f"centered flag must be 0 or 1, got {centered}")
-    return {
-        "kind": _KIND_NAMES[kind_code],
-        "window": _WINDOW_NAMES[window_code],
-        "clip": _CLIP_NAMES[clip_code],
-        "clip_tau": clip_tau,
-        "kaiser_beta": kaiser_beta,
-        "win_length": win_length,
-        "hop_length": hop_length,
-        "centered": bool(centered),
-        "sample_rate": sample_rate,
-        "original_length": original_length,
-        "n_frames": n_frames,
-        "n_bins": n_bins,
-    }
+    # Enum bytes are the name's position in its tuple.
+    for what, names in (("kind", SPECTROGRAM_KINDS), ("window", WINDOW_NAMES), ("clip", CLIP_MODES)):
+        if head[what] >= len(names):
+            raise FormatError(f"unknown {what} code {head[what]}")
+        head[what] = names[head[what]]
+    if head["centered"] not in (0, 1):
+        raise FormatError(f"centered flag must be 0 or 1, got {head['centered']}")
+    head["centered"] = bool(head["centered"])
+    return head
 
 
 def read_spec(path) -> Spectrogram:

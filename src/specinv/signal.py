@@ -31,7 +31,29 @@ __all__ = [
 # out as (0 / OLA_EPS) = 0 instead of dividing by zero.
 OLA_EPS = 1e-8
 
+# Positions are the MVS1 window codes (see io.py): append, never reorder.
 WINDOW_NAMES = ("hann", "kaiser", "boxcar")
+
+
+def parse_name_value(cls, text: str, names, keyed: str, what: str, missing: str, bad: str):
+    """Parse a ``name`` or ``keyed:VALUE`` spec into ``cls(name[, value])``.
+
+    ``names`` are the valid names; ``keyed`` is the one among them that
+    takes a float value.  ``missing`` is the error for a bare ``keyed``;
+    ``bad`` prefixes the error for a value that is not a float.
+    """
+    name, _, tail = text.partition(":")
+    if text in names and text != keyed:
+        return cls(text)
+    if name != keyed:
+        raise InvalidConfigError(f"unknown {what} spec {text!r}")
+    if not tail:
+        raise InvalidConfigError(missing)
+    try:
+        value = float(tail)
+    except ValueError:
+        raise InvalidConfigError(f"{bad} {tail!r}") from None
+    return cls(name, value)
 
 
 @dataclass(frozen=True)
@@ -70,20 +92,11 @@ class WindowKind:
     @classmethod
     def parse(cls, text: str) -> "WindowKind":
         """Parse ``"hann"``, ``"boxcar"`` or ``"kaiser:BETA"``."""
-        if text in ("hann", "boxcar"):
-            return cls(text)
-        if text == "kaiser" or text.startswith("kaiser:"):
-            _, _, tail = text.partition(":")
-            if not tail:
-                raise InvalidConfigError(
-                    "kaiser window needs a beta, e.g. 'kaiser:8.0'"
-                )
-            try:
-                beta = float(tail)
-            except ValueError:
-                raise InvalidConfigError(f"bad kaiser beta {tail!r}") from None
-            return cls.kaiser(beta)
-        raise InvalidConfigError(f"unknown window spec {text!r}")
+        return parse_name_value(
+            cls, text, WINDOW_NAMES, "kaiser", "window",
+            missing="kaiser window needs a beta, e.g. 'kaiser:8.0'",
+            bad="bad kaiser beta",
+        )
 
     def label(self) -> str:
         if self.name == "kaiser":

@@ -15,6 +15,9 @@ real frame (N even) as::
 
     [Y_0, Re Y_1, Im Y_1, Re Y_2, Im Y_2, ..., Re Y_{N/2}]
 
+which is FFTPACK's half-complex order (Swarztrauber 1982), i.e. exactly
+what ``scipy.fftpack.rfft`` returns, so the packed pair calls
+``scipy.fftpack.rfft``/``irfft`` directly.
 Y_0 and Y_{N/2} are real for real input, so exactly N reals carry the
 whole spectrum and the transform is lossless.  dct2/dct3 are likewise
 mutual inverses.  dft_real_part is deliberately not invertible: inverting
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.fft
+import scipy.fftpack
 
 from .errors import InvalidConfigError, InvalidInputError
 
@@ -96,24 +100,14 @@ def rfft_packed(frame, workers: int = 1) -> np.ndarray:
     redundant, so no information is lost.
     """
     a = _as_frames(frame, "rfft_packed")
-    n = a.shape[-1]
-    _require_even(n, "rfft_packed")
-    y = scipy.fft.rfft(a, axis=-1, workers=workers)
-    out = np.empty(a.shape, dtype=np.float64)
-    out[..., 0] = y[..., 0].real
-    out[..., 1:-1:2] = y[..., 1:-1].real
-    out[..., 2::2] = y[..., 1:-1].imag
-    out[..., -1] = y[..., -1].real
-    return out
+    _require_even(a.shape[-1], "rfft_packed")
+    with scipy.fft.set_workers(workers):
+        return scipy.fftpack.rfft(a, axis=-1)
 
 
 def irfft_packed(packed, workers: int = 1) -> np.ndarray:
     """Exact inverse of :func:`rfft_packed`."""
     a = _as_frames(packed, "irfft_packed")
-    n = a.shape[-1]
-    _require_even(n, "irfft_packed")
-    half = np.empty(a.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
-    half[..., 0] = a[..., 0]
-    half[..., 1:-1] = a[..., 1:-1:2] + 1j * a[..., 2::2]
-    half[..., -1] = a[..., -1]
-    return scipy.fft.irfft(half, n=n, axis=-1, workers=workers)
+    _require_even(a.shape[-1], "irfft_packed")
+    with scipy.fft.set_workers(workers):
+        return scipy.fftpack.irfft(a, axis=-1)

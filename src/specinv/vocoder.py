@@ -11,13 +11,14 @@ synthesis path at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.fft
 
 from . import transforms
 from .errors import InvalidConfigError, InvalidInputError, UnsupportedKindError
-from .signal import FrameConfig, FrameMatrix, Waveform, frame_signal, overlap_add
+from .signal import FrameConfig, FrameMatrix, Waveform, frame_signal, overlap_add, parse_name_value
 
 __all__ = [
     "SPECTROGRAM_KINDS",
@@ -30,8 +31,38 @@ __all__ = [
     "synthesize",
 ]
 
-SPECTROGRAM_KINDS = ("real_fft", "dct", "packed_rfft", "magnitude")
+
+def _magnitude(frames, workers: int = 1) -> np.ndarray:
+    return np.abs(scipy.fft.rfft(frames, axis=-1, workers=workers))
+
+
+class Kind(NamedTuple):
+    """Everything that differs between spectrogram kinds."""
+
+    algo: str  # the CLI ``--algo`` name
+    forward: Callable[..., np.ndarray]
+    inverse: Callable[..., np.ndarray] | None  # None: no synthesis path
+    half_spectrum: bool  # win_length // 2 + 1 bins instead of win_length
+
+
+# A kind's position here, like a clip mode's in CLIP_MODES, is its MVS1
+# header code (see io.py): append new entries, never reorder.
+KINDS = {
+    "real_fft": Kind("fft-real", transforms.dft_real_part, transforms.idft_from_real, False),
+    "dct": Kind("dct", transforms.dct2, transforms.dct3, False),
+    "packed_rfft": Kind("prft", transforms.rfft_packed, transforms.irfft_packed, False),
+    "magnitude": Kind("magnitude", _magnitude, None, True),
+}
+SPECTROGRAM_KINDS = tuple(KINDS)
 CLIP_MODES = ("none", "zero", "threshold")
+
+
+def _kind(kind: str) -> Kind:
+    if kind not in KINDS:
+        raise UnsupportedKindError(
+            f"unknown spectrogram kind {kind!r}; expected one of {SPECTROGRAM_KINDS}"
+        )
+    return KINDS[kind]
 
 
 @dataclass(frozen=True)
@@ -74,20 +105,11 @@ class ClipMode:
     @classmethod
     def parse(cls, text: str) -> "ClipMode":
         """Parse ``"none"``, ``"zero"`` or ``"threshold:TAU"``."""
-        if text in ("none", "zero"):
-            return cls(text)
-        if text == "threshold" or text.startswith("threshold:"):
-            _, _, tail = text.partition(":")
-            if not tail:
-                raise InvalidConfigError(
-                    "threshold clipping needs a level, e.g. 'threshold:0.05'"
-                )
-            try:
-                tau = float(tail)
-            except ValueError:
-                raise InvalidConfigError(f"bad threshold level {tail!r}") from None
-            return cls.threshold(tau)
-        raise InvalidConfigError(f"unknown clip spec {text!r}")
+        return parse_name_value(
+            cls, text, CLIP_MODES, "threshold", "clip",
+            missing="threshold clipping needs a level, e.g. 'threshold:0.05'",
+            bad="bad threshold level",
+        )
 
     def label(self) -> str:
         if self.mode == "threshold":
@@ -97,13 +119,7 @@ class ClipMode:
 
 def expected_bins(kind: str, win_length: int) -> int:
     """Bin count per frame for a spectrogram kind at a given window length."""
-    if kind not in SPECTROGRAM_KINDS:
-        raise UnsupportedKindError(
-            f"unknown spectrogram kind {kind!r}; expected one of {SPECTROGRAM_KINDS}"
-        )
-    if kind == "magnitude":
-        return win_length // 2 + 1
-    return win_length
+    return win_length // 2 + 1 if _kind(kind).half_spectrum else win_length
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,10 +223,7 @@ def analyze(
     workers : int
         Worker threads for the batch transform (1 = single-threaded).
     """
-    if kind not in SPECTROGRAM_KINDS:
-        raise UnsupportedKindError(
-            f"unknown spectrogram kind {kind!r}; expected one of {SPECTROGRAM_KINDS}"
-        )
+    forward = _kind(kind).forward
     if not isinstance(clip, ClipMode):
         clip = ClipMode.parse(clip)
     if workers < 1:
@@ -225,15 +238,7 @@ def analyze(
         raise InvalidConfigError("magnitude spectrograms are already nonnegative; use clip none")
 
     fm = frame_signal(x, config)
-    if kind == "real_fft":
-        data = transforms.dft_real_part(fm.frames, workers=workers)
-    elif kind == "dct":
-        data = transforms.dct2(fm.frames, workers=workers)
-    elif kind == "packed_rfft":
-        data = transforms.rfft_packed(fm.frames, workers=workers)
-    else:
-        data = np.abs(scipy.fft.rfft(fm.frames, axis=-1, workers=workers))
-    data = apply_clip(data, clip)
+    data = apply_clip(forward(fm.frames, workers=workers), clip)
     return Spectrogram(kind, data, config, clip, x.sample_rate, fm.original_length)
 
 
@@ -244,18 +249,14 @@ def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
     Magnitude spectrograms cannot be inverted here -- that would require
     the phase estimation this library exists to avoid.
     """
-    if spec.kind == "magnitude":
+    inverse = KINDS[spec.kind].inverse
+    if inverse is None:
         raise UnsupportedKindError(
             "magnitude spectrograms have no synthesis path (phase is gone); "
             "use real_fft, dct or packed_rfft"
         )
     if workers < 1:
         raise InvalidConfigError("workers must be >= 1")
-    if spec.kind == "real_fft":
-        frames = transforms.idft_from_real(spec.data, workers=workers)
-    elif spec.kind == "dct":
-        frames = transforms.dct3(spec.data, workers=workers)
-    else:
-        frames = transforms.irfft_packed(spec.data, workers=workers)
+    frames = inverse(spec.data, workers=workers)
     fm = FrameMatrix(frames, spec.config, spec.original_length, spec.sample_rate)
     return overlap_add(fm)

@@ -6,6 +6,7 @@ import pytest
 from helpers import synthetic_speech
 
 from specinv.cli import build_parser, dispatch
+from specinv.errors import InvalidInputError, MeasurementError, SpecinvError, UnsupportedCodecError
 from specinv.io import read_spec, read_wav, write_spec, write_wav
 from specinv.metrics import mcd, snr_db
 from specinv.signal import FrameConfig, Waveform
@@ -204,6 +205,28 @@ def test_corrupt_input_is_format_error(tmp_path, capsys):
     code = dispatch(["analyze", str(bad), str(out), "--algo", "dct"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: format:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exc,category",
+    [
+        (UnsupportedCodecError("unsupported WAV encoding"), "codec"),
+        (InvalidInputError("waveform contains NaN"), "input"),
+        (MeasurementError("mean elapsed time 0.0 s is not positive"), "measurement"),
+        (SpecinvError("unexpected"), "internal"),
+        (MemoryError("Unable to allocate 8.00 TiB"), "memory"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_error_category_is_one_line(tmp_path, wav_path, capsys, monkeypatch, exc, category):
+    def fail(path):
+        raise exc
+
+    monkeypatch.setattr("specinv.io.read_wav", fail)
+    out = tmp_path / "out.mvs"
+    assert dispatch(["analyze", str(wav_path), str(out), "--algo", "dct"]) == 1
+    assert capsys.readouterr().err == f"error: {category}: {exc}\n"
     assert not out.exists()
 
 

@@ -214,6 +214,25 @@ def test_spec_header_metadata(tmp_path, rng):
     assert meta["n_frames"] == spec.n_frames and meta["n_bins"] == 32
 
 
+@pytest.mark.parametrize(
+    "kind,window,clip,codes",
+    [  # codes for header bytes 6/7/8 (kind/window/clip) as documented in io.py
+        ("real_fft", "hann", "none", (0, 0, 0)),
+        ("dct", "kaiser:8", "zero", (1, 1, 1)),
+        ("packed_rfft", "boxcar", "threshold:0.05", (2, 2, 2)),
+        ("magnitude", "hann", "none", (3, 0, 0)),
+    ],
+)
+def test_spec_enum_bytes_are_documented_codes(tmp_path, rng, kind, window, clip, codes):
+    x = Waveform(rng.normal(size=2000) * 0.4, 22050)
+    spec = analyze(x, FrameConfig(32, 8, WindowKind.parse(window)), kind, ClipMode.parse(clip))
+    path = tmp_path / "a.mvs"
+    write_spec(path, spec)
+    assert tuple(path.read_bytes()[6:9]) == codes
+    back = read_spec(path)
+    assert (back.kind, back.config.window.label(), back.clip.label()) == (kind, window, clip)
+
+
 def test_spec_bad_magic(tmp_path, rng):
     path = tmp_path / "a.mvs"
     write_spec(path, random_spectrogram(rng))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fftpack
 from numpy.testing import assert_allclose
 
 from helpers import (
@@ -99,6 +100,15 @@ def test_irfft_packed_constant():
 
 def test_irfft_packed_shifted_impulse():
     assert_allclose(irfft_packed([1.0, 0.0, -1.0, -1.0]), [0, 1, 0, 0], atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(2,), (1024,), (1, 64), (7, 30), (333, 512)])
+def test_packed_layout_is_fftpack_half_complex_bit_for_bit(rng, shape):
+    x = rng.normal(size=shape)
+    assert np.array_equal(rfft_packed(x), scipy.fftpack.rfft(x, axis=-1))
+    assert np.array_equal(irfft_packed(x), scipy.fftpack.irfft(x, axis=-1))
+    assert np.array_equal(rfft_packed(x, workers=2), rfft_packed(x, workers=1))
+    assert np.array_equal(irfft_packed(x, workers=2), irfft_packed(x, workers=1))
 
 
 def test_packed_roundtrip_length_1024(rng):
