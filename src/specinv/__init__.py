@@ -7,103 +7,24 @@ no training.  Includes clipping variants, SNR/MCD quality metrics, WAV
 and MVS1 file I/O, a benchmark harness and a CLI (``specinv``).
 """
 
-from .bench import BenchReport, BenchSpec, format_table, run_bench, make_tone, to_jsonl
-from .errors import (
-    FormatError,
-    InvalidConfigError,
-    InvalidInputError,
-    MeasurementError,
-    SpecinvError,
-    UnsupportedCodecError,
-    UnsupportedKindError,
-)
-from .io import (
-    MultiChannelWarning,
-    read_spec,
-    read_wav,
-    spec_info,
-    wav_info,
-    write_spec,
-    write_wav,
-)
-from .metrics import McdConfig, mcd, mel_filterbank, snr_db
-from .signal import (
-    OLA_EPS,
-    FrameConfig,
-    FrameMatrix,
-    Waveform,
-    WindowKind,
-    frame_signal,
-    make_window,
-    overlap_add,
-)
-from .transforms import dct2, dct3, dft_real_part, idft_from_real, irfft_packed, rfft_packed
-from .vocoder import (
-    CLIP_MODES,
-    SPECTROGRAM_KINDS,
-    ClipMode,
-    Spectrogram,
-    analyze,
-    apply_clip,
-    expected_bins,
-    synthesize,
-)
+from . import bench, errors, io, metrics, signal, transforms, vocoder
+from .bench import *
+from .errors import *
+from .io import *
+from .metrics import *
+from .signal import *
+from .transforms import *
+from .vocoder import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # signal
-    "OLA_EPS",
-    "Waveform",
-    "WindowKind",
-    "FrameConfig",
-    "FrameMatrix",
-    "make_window",
-    "frame_signal",
-    "overlap_add",
-    # transforms
-    "dft_real_part",
-    "idft_from_real",
-    "dct2",
-    "dct3",
-    "rfft_packed",
-    "irfft_packed",
-    # vocoder
-    "SPECTROGRAM_KINDS",
-    "CLIP_MODES",
-    "ClipMode",
-    "Spectrogram",
-    "expected_bins",
-    "apply_clip",
-    "analyze",
-    "synthesize",
-    # metrics
-    "McdConfig",
-    "snr_db",
-    "mcd",
-    "mel_filterbank",
-    # bench
-    "BenchSpec",
-    "BenchReport",
-    "run_bench",
-    "make_tone",
-    "format_table",
-    "to_jsonl",
-    # io
-    "read_wav",
-    "write_wav",
-    "wav_info",
-    "read_spec",
-    "write_spec",
-    "spec_info",
-    "MultiChannelWarning",
-    # errors
-    "SpecinvError",
-    "InvalidConfigError",
-    "InvalidInputError",
-    "UnsupportedKindError",
-    "FormatError",
-    "UnsupportedCodecError",
-    "MeasurementError",
+    *signal.__all__,
+    *transforms.__all__,
+    *vocoder.__all__,
+    *metrics.__all__,
+    *bench.__all__,
+    *io.__all__,
+    *errors.__all__,
 ]

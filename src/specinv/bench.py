@@ -19,7 +19,6 @@ from .signal import FrameConfig, Waveform
 from .vocoder import ClipMode, analyze, synthesize
 
 __all__ = [
-    "STAGES",
     "BenchSpec",
     "BenchReport",
     "run_bench",

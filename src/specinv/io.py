@@ -23,6 +23,11 @@ The MVS1 container is a little-endian, bit-exact interchange format:
     42      4     n_bins (u32)
     46      -     payload: n_frames * n_bins f32 values, frame-major
 
+n_frames must equal the frame count of original_length samples at the
+header's win_length, hop_length and centered flag (see frame_signal);
+read_spec rejects any other value as a FormatError before anything is
+sized by original_length.
+
 Writes go through a temp file in the destination directory followed by an
 atomic rename, so a failed run never leaves a partial file.  Concurrent
 writes to one path are undefined.

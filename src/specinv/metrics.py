@@ -16,7 +16,7 @@ from .signal import FrameConfig, Waveform, WindowKind
 from .transforms import dct2
 from .vocoder import analyze
 
-__all__ = ["LOG_FLOOR", "McdConfig", "snr_db", "mcd", "mel_filterbank"]
+__all__ = ["McdConfig", "snr_db", "mcd", "mel_filterbank"]
 
 # Floor applied before the log of mel band energies.
 LOG_FLOOR = 1e-10

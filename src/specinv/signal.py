@@ -17,7 +17,6 @@ from .errors import InvalidConfigError, InvalidInputError
 
 __all__ = [
     "OLA_EPS",
-    "WINDOW_NAMES",
     "WindowKind",
     "FrameConfig",
     "Waveform",
@@ -182,8 +181,7 @@ class FrameMatrix:
                 f"frame rows must have win_length={self.config.win_length} entries, "
                 f"got {frames.shape[1]}"
             )
-        if self.original_length < 0:
-            raise InvalidInputError("original_length must be >= 0")
+        _check_frame_count(frames.shape[0], self.config, self.original_length)
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -209,6 +207,40 @@ def make_window(kind: WindowKind, length: int) -> np.ndarray:
     return np.kaiser(length, kind.beta)
 
 
+def _geometry(config: FrameConfig, length: int) -> tuple[int, int, int]:
+    """``(n_frames, pad, span)`` of a ``length``-sample signal under ``config``.
+
+    The one home of the framing rule :func:`frame_signal` documents: ``pad``
+    zeros lead the signal and the frames cover ``span = (n_frames - 1) * hop
+    + win`` padded samples, which is fewer than ``length`` when uncentered
+    framing drops a partial last hop.
+    """
+    win, hop = config.win_length, config.hop_length
+    pad = win // 2 if config.centered else 0
+    n = length + 2 * pad
+    if n < win:
+        raise InvalidInputError(
+            f"signal of {length} samples is shorter than one {win}-sample frame"
+            + ("" if config.centered else " (uncentered)")
+        )
+    n_frames = 1 + (n - win) // hop
+    if config.centered and (n - win) % hop:
+        n_frames += 1
+    return n_frames, pad, (n_frames - 1) * hop + win
+
+
+def _check_frame_count(n_frames: int, config: FrameConfig, original_length: int) -> None:
+    if original_length < 0:
+        raise InvalidInputError("original_length must be >= 0")
+    expected = _geometry(config, original_length)[0]
+    if n_frames != expected:
+        raise InvalidInputError(
+            f"{n_frames} frames do not match {original_length} samples at "
+            f"win={config.win_length} hop={config.hop_length} "
+            f"{'centered' if config.centered else 'uncentered'}: expected {expected}"
+        )
+
+
 def frame_signal(x: Waveform, config: FrameConfig) -> FrameMatrix:
     """Slice ``x`` into hopped frames and apply the analysis window.
 
@@ -220,30 +252,12 @@ def frame_signal(x: Waveform, config: FrameConfig) -> FrameMatrix:
     at least one window long.
     """
     win = config.win_length
-    hop = config.hop_length
-    samples = x.samples
-    if config.centered:
-        pad = win // 2
-        padded = np.concatenate([np.zeros(pad), samples, np.zeros(pad)])
-    else:
-        padded = samples
-    n = padded.shape[0]
-    if n < win:
-        raise InvalidInputError(
-            f"signal of {len(samples)} samples is shorter than one "
-            f"{win}-sample frame (uncentered)"
-        )
-    n_full = 1 + (n - win) // hop
-    tail = (n - win) % hop
-    extra = 1 if (config.centered and tail) else 0
-
-    frames = np.zeros((n_full + extra, win))
-    frames[:n_full] = np.lib.stride_tricks.sliding_window_view(padded, win)[::hop]
-    if extra:
-        start = n_full * hop
-        frames[n_full, : n - start] = padded[start:]
-    frames *= make_window(config.window, win)
-    return FrameMatrix(frames, config, len(samples), x.sample_rate)
+    _, pad, span = _geometry(config, len(x))
+    kept = x.samples[: span - pad]
+    padded = np.zeros(span)
+    padded[pad : pad + kept.shape[0]] = kept
+    frames = np.lib.stride_tricks.sliding_window_view(padded, win)[:: config.hop_length]
+    return FrameMatrix(frames * make_window(config.window, win), config, len(x), x.sample_rate)
 
 
 def overlap_add(frames: FrameMatrix) -> Waveform:
@@ -251,31 +265,25 @@ def overlap_add(frames: FrameMatrix) -> Waveform:
 
     Output sample ``y[n] = sum_f frames[f][n - f*hop] / max(sum_f w[n - f*hop],
     OLA_EPS)``; frames are accumulated in ascending order so the result is
-    bit-reproducible.  Centering pads are trimmed and the output is
-    truncated (or zero-extended) to ``original_length``.
+    bit-reproducible.  Centering pads are trimmed and the samples uncentered
+    framing dropped past its last full frame come back as zeros, so the
+    output has ``original_length`` samples.
     """
     config = frames.config
     win = config.win_length
     hop = config.hop_length
     data = frames.frames
-    if frames.n_frames < 1:
-        raise InvalidInputError("overlap_add needs at least one frame")
+    n_out = frames.original_length
+    _, pad, span = _geometry(config, n_out)
 
-    out_len = (frames.n_frames - 1) * hop + win
-    acc = np.zeros(out_len)
-    wsum = np.zeros(out_len)
+    acc = np.zeros(span)
+    wsum = np.zeros(span)
     w = make_window(config.window, win)
     for f in range(frames.n_frames):
         start = f * hop
         acc[start : start + win] += data[f]
         wsum[start : start + win] += w
-    y = acc / np.maximum(wsum, OLA_EPS)
-
-    if config.centered:
-        y = y[win // 2 :]
-    n_out = frames.original_length
-    if y.shape[0] >= n_out:
-        y = y[:n_out]
-    else:
+    y = acc[pad : pad + n_out] / np.maximum(wsum[pad : pad + n_out], OLA_EPS)
+    if y.shape[0] < n_out:
         y = np.concatenate([y, np.zeros(n_out - y.shape[0])])
     return Waveform(y, frames.sample_rate)

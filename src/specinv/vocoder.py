@@ -18,7 +18,9 @@ import scipy.fft
 
 from . import transforms
 from .errors import InvalidConfigError, InvalidInputError, UnsupportedKindError
-from .signal import FrameConfig, FrameMatrix, Waveform, frame_signal, overlap_add, parse_name_value
+from .signal import (
+    FrameConfig, FrameMatrix, Waveform, _check_frame_count, frame_signal, overlap_add, parse_name_value,
+)
 
 __all__ = [
     "SPECTROGRAM_KINDS",
@@ -148,6 +150,7 @@ class Spectrogram:
                 f"{self.kind} spectrogram at win={self.config.win_length} must have "
                 f"{bins} bins per frame, got {data.shape[1]}"
             )
+        _check_frame_count(data.shape[0], self.config, self.original_length)
         if not np.isfinite(data).all():
             raise InvalidInputError("spectrogram data contains NaN or Inf")
         if self.kind == "magnitude" or self.clip.mode == "zero":
@@ -164,8 +167,6 @@ class Spectrogram:
                 )
         if int(self.sample_rate) != self.sample_rate or self.sample_rate <= 0:
             raise InvalidInputError(f"sample_rate must be a positive integer, got {self.sample_rate}")
-        if self.original_length < 0:
-            raise InvalidInputError("original_length must be >= 0")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from specinv.signal import FrameConfig, Waveform, WindowKind, make_window
+from specinv.signal import OLA_EPS, FrameConfig, Waveform, WindowKind, make_window
 from specinv.vocoder import ClipMode, analyze
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,25 @@ def oracle_frame_signal(x: Waveform, config: FrameConfig):
     return np.array(frames)
 
 
+def oracle_overlap_add(frames, config: FrameConfig, original_length):
+    """Normalized overlap-add as an ascending per-frame loop over all frames,
+    trimmed and zero-extended to ``original_length``."""
+    win, hop = config.win_length, config.hop_length
+    frames = np.asarray(frames, dtype=np.float64)
+    out_len = (frames.shape[0] - 1) * hop + win
+    acc = np.zeros(out_len)
+    wsum = np.zeros(out_len)
+    w = make_window(config.window, win)
+    for f in range(frames.shape[0]):
+        acc[f * hop : f * hop + win] += frames[f]
+        wsum[f * hop : f * hop + win] += w
+    y = acc / np.maximum(wsum, OLA_EPS)
+    if config.centered:
+        y = y[win // 2 :]
+    y = y[:original_length]
+    return np.concatenate([y, np.zeros(original_length - y.shape[0])])
+
+
 # ---------------------------------------------------------------------------
 # Mel-cepstral oracle (full pipeline, independent of the package)
 # ---------------------------------------------------------------------------
@@ -190,6 +209,15 @@ def make_wav_bytes(payload, fmt_code, bits, channels=1, rate=22050, fmt_size=16,
     chunks = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
     chunks += b"data" + struct.pack("<I", data_size) + payload
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def lying_spec_bytes(original_length=2**40):
+    """A 62-byte MVS1 file: one 4-bin dct frame whose header claims
+    ``original_length`` samples at win 4, hop 2, centered."""
+    header = struct.pack(
+        "<4sHBBBffIIBIQII", b"MVS1", 1, 1, 0, 0, 0.0, 0.0, 4, 2, 1, 22050, original_length, 1, 4
+    )
+    return header + np.zeros(4, "<f4").tobytes()
 
 
 def random_spectrogram(rng):

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import synthetic_speech
+from helpers import lying_spec_bytes, synthetic_speech
 
 from specinv.cli import build_parser, dispatch
 from specinv.errors import InvalidInputError, MeasurementError, SpecinvError, UnsupportedCodecError
@@ -205,6 +205,16 @@ def test_corrupt_input_is_format_error(tmp_path, capsys):
     code = dispatch(["analyze", str(bad), str(out), "--algo", "dct"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: format:")
+    assert not out.exists()
+
+
+def test_synthesize_lying_header_is_format_error(tmp_path, capsys):
+    lie = tmp_path / "lie.mvs"
+    lie.write_bytes(lying_spec_bytes())
+    out = tmp_path / "out.wav"
+    assert dispatch(["synthesize", str(lie), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: format:") and err.count("\n") == 1
     assert not out.exists()
 
 

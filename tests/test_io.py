@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import make_wav_bytes, random_spectrogram, wav_fuzz_corpus
+from helpers import lying_spec_bytes, make_wav_bytes, random_spectrogram, wav_fuzz_corpus
 
 from specinv.errors import FormatError, InvalidInputError, UnsupportedCodecError
 from specinv.io import (
@@ -284,6 +284,19 @@ def test_spec_inconsistent_header_rejected(tmp_path, rng):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         read_spec(path)
+
+
+@pytest.mark.parametrize("original_length", [2**40, 2**31, 100, 1])
+def test_spec_frame_count_must_match_original_length(tmp_path, original_length):
+    # At 4/2 centered only an empty signal gives one frame; the header check
+    # runs before anything is sized by original_length.
+    path = tmp_path / "lie.mvs"
+    path.write_bytes(lying_spec_bytes(original_length))
+    assert len(path.read_bytes()) == 62
+    with pytest.raises(FormatError, match="1 frames do not match"):
+        read_spec(path)
+    path.write_bytes(lying_spec_bytes(0))
+    assert read_spec(path).n_frames == 1
 
 
 def test_spec_truncated_header(tmp_path):

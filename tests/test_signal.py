@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import oracle_frame_signal, oracle_frame_starts
+from helpers import oracle_frame_signal, oracle_frame_starts, oracle_overlap_add
 
 from specinv.errors import InvalidConfigError, InvalidInputError
 from specinv.signal import (
@@ -110,9 +112,22 @@ def test_waveform_validation():
 def test_frame_matrix_row_width_checked():
     cfg = FrameConfig(4, 2, WindowKind.boxcar(), centered=False)
     with pytest.raises(InvalidInputError):
-        FrameMatrix(np.zeros((3, 5)), cfg, 10, 22050)
+        FrameMatrix(np.zeros((4, 5)), cfg, 10, 22050)
     with pytest.raises(InvalidInputError):
-        FrameMatrix(np.zeros((3, 4)), cfg, -1, 22050)
+        FrameMatrix(np.zeros((4, 4)), cfg, -1, 22050)
+
+
+@pytest.mark.parametrize(
+    "length,win,hop,centered",
+    [(22, 4, 2, True), (97, 16, 5, True), (4, 8, 2, True), (100, 16, 4, False)],
+)
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_frame_matrix_rejects_wrong_frame_count(rng, length, win, hop, centered, delta):
+    cfg = FrameConfig(win, hop, WindowKind.boxcar(), centered=centered)
+    n_frames = frame_signal(Waveform(rng.normal(size=length), 22050), cfg).n_frames
+    FrameMatrix(np.zeros((n_frames, win)), cfg, length, 22050)
+    with pytest.raises(InvalidInputError, match="frames do not match"):
+        FrameMatrix(np.zeros((n_frames + delta, win)), cfg, length, 22050)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +148,7 @@ def test_frame_signal_applies_window():
     x = Waveform([1, 1, 1, 1], 22050)
     cfg = FrameConfig(4, 2, WindowKind.hann(), centered=False)
     fm = frame_signal(x, cfg)
-    assert_allclose(fm.frames, [[0.0, 0.5, 1.0, 0.5]], atol=1e-15)
+    assert np.array_equal(fm.frames, [make_window(WindowKind.hann(), 4)])
 
 
 def test_frame_count_centered_matches_enumeration_oracle():
@@ -145,7 +160,7 @@ def test_frame_count_centered_matches_enumeration_oracle():
     assert (len(starts), padded_len) == (12, 26)
     fm = frame_signal(x, cfg)
     assert fm.n_frames == 12
-    assert_allclose(fm.frames, oracle_frame_signal(x, cfg))
+    assert np.array_equal(fm.frames, oracle_frame_signal(x, cfg))
 
 
 @pytest.mark.parametrize("n,win,hop", [(100, 16, 4), (97, 16, 5), (33, 32, 1), (64, 64, 64)])
@@ -159,13 +174,50 @@ def test_uncentered_frame_count_formula(rng, n, win, hop):
 def test_frame_signal_matches_oracle(rng, n, win, hop, centered):
     x = Waveform(rng.normal(size=n), 16000)
     cfg = FrameConfig(win, hop, WindowKind.hann(), centered=centered)
-    assert_allclose(frame_signal(x, cfg).frames, oracle_frame_signal(x, cfg), atol=1e-15)
+    assert np.array_equal(frame_signal(x, cfg).frames, oracle_frame_signal(x, cfg))
 
 
 def test_uncentered_signal_shorter_than_frame_rejected():
     x = Waveform([1.0, 2.0], 22050)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError) as exc:
         frame_signal(x, FrameConfig(4, 2, centered=False))
+    assert str(exc.value) == "signal of 2 samples is shorter than one 4-sample frame (uncentered)"
+
+
+def test_centered_short_signal_message_is_not_marked_uncentered():
+    # win 7 centered pads 3 zeros per side: 6 < 7 samples for an empty signal
+    with pytest.raises(InvalidInputError) as exc:
+        frame_signal(Waveform([], 22050), FrameConfig(7, 3))
+    assert str(exc.value) == "signal of 0 samples is shorter than one 7-sample frame"
+
+
+@st.composite
+def framings(draw):
+    """A frame config over hann/boxcar/kaiser, a signal length and a seed."""
+    win = draw(st.integers(2, 48))
+    window = draw(st.sampled_from([WindowKind.hann(), WindowKind.boxcar(), WindowKind.kaiser(8.5)]))
+    cfg = FrameConfig(win, draw(st.integers(1, win)), window, centered=draw(st.booleans()))
+    return cfg, draw(st.integers(0, 200)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(framings())
+def test_framing_and_ola_are_bit_exact_to_oracles(framing):
+    cfg, length, seed = framing
+    rng = np.random.default_rng(seed)
+    x = Waveform(rng.normal(size=length), 16000)
+    starts, _ = oracle_frame_starts(length, cfg)
+    if not starts:
+        with pytest.raises(InvalidInputError, match="shorter than one"):
+            frame_signal(x, cfg)
+        return
+    fm = frame_signal(x, cfg)
+    assert fm.n_frames == len(starts)
+    assert np.array_equal(fm.frames, oracle_frame_signal(x, cfg))
+    # OLA of arbitrary frames, as synthesis feeds it inverse-transform output
+    data = rng.normal(size=fm.frames.shape)
+    y = overlap_add(FrameMatrix(data, cfg, length, 16000))
+    assert np.array_equal(y.samples, oracle_overlap_add(data, cfg, length))
 
 
 # ---------------------------------------------------------------------------

@@ -210,17 +210,31 @@ def test_spectrogram_is_immutable(rng):
 
 
 def test_spectrogram_invariant_enforcement(rng):
+    # 4 samples at 8/2 centered pad to 12 and give exactly 3 frames
     cfg = FrameConfig(8, 2)
-    with pytest.raises(InvalidInputError):
-        Spectrogram("dct", np.zeros((3, 7)), cfg, ClipMode.none(), 22050, 100)
-    with pytest.raises(InvalidInputError):
-        Spectrogram("dct", -np.ones((3, 8)), cfg, ClipMode.zero(), 22050, 100)
-    with pytest.raises(InvalidInputError):
-        Spectrogram("magnitude", -np.ones((3, 5)), cfg, ClipMode.none(), 22050, 100)
-    with pytest.raises(InvalidInputError):
-        Spectrogram("dct", np.full((3, 8), 0.01), cfg, ClipMode.threshold(0.5), 22050, 100)
-    with pytest.raises(InvalidInputError):
-        Spectrogram("dct", np.full((3, 8), np.nan), cfg, ClipMode.none(), 22050, 100)
+    with pytest.raises(InvalidInputError, match="bins per frame"):
+        Spectrogram("dct", np.zeros((3, 7)), cfg, ClipMode.none(), 22050, 4)
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        Spectrogram("dct", -np.ones((3, 8)), cfg, ClipMode.zero(), 22050, 4)
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        Spectrogram("magnitude", -np.ones((3, 5)), cfg, ClipMode.none(), 22050, 4)
+    with pytest.raises(InvalidInputError, match="entries in"):
+        Spectrogram("dct", np.full((3, 8), 0.01), cfg, ClipMode.threshold(0.5), 22050, 4)
+    with pytest.raises(InvalidInputError, match="NaN"):
+        Spectrogram("dct", np.full((3, 8), np.nan), cfg, ClipMode.none(), 22050, 4)
+    with pytest.raises(InvalidInputError, match="3 frames do not match 100 samples"):
+        Spectrogram("dct", np.zeros((3, 8)), cfg, ClipMode.none(), 22050, 100)
+
+
+@pytest.mark.parametrize("kind", ["dct", "magnitude"])
+@pytest.mark.parametrize("centered", [True, False])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_spectrogram_rejects_wrong_frame_count(rng, kind, centered, delta):
+    x = Waveform(rng.normal(size=301), 22050)
+    spec = analyze(x, FrameConfig(32, 7, centered=centered), kind)
+    data = np.zeros((spec.n_frames + delta, spec.n_bins))
+    with pytest.raises(InvalidInputError, match="frames do not match"):
+        Spectrogram(kind, data, spec.config, spec.clip, 22050, spec.original_length)
 
 
 def test_workers_parameter_gives_identical_results(rng):
