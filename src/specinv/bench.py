@@ -23,7 +23,6 @@ __all__ = [
     "BenchReport",
     "run_bench",
     "make_tone",
-    "format_table",
     "to_jsonl",
 ]
 
@@ -174,16 +173,6 @@ def run_bench(spec: BenchSpec, x: Waveform | None = None, clock=time.perf_counte
     khz = samples / mean / 1000.0
     rtf = khz * 1000.0 / spec.sample_rate
     return BenchReport(mean, std, samples, khz, rtf, spec)
-
-
-def format_table(reports) -> str:
-    """Render reports as an aligned text table (header + one row each)."""
-    rows = [TSV_COLUMNS] + [tuple(r.tsv_row().split("\t")) for r in reports]
-    widths = [max(len(row[c]) for row in rows) for c in range(len(TSV_COLUMNS))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
 
 
 def to_jsonl(reports) -> str:

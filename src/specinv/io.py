@@ -26,7 +26,10 @@ The MVS1 container is a little-endian, bit-exact interchange format:
 n_frames must equal the frame count of original_length samples at the
 header's win_length, hop_length and centered flag (see frame_signal);
 read_spec rejects any other value as a FormatError before anything is
-sized by original_length.
+sized by original_length.  The per-kind rules of vocoder.KINDS hold too:
+packed_rfft needs an even win_length and magnitude needs clip none.
+spec_info reads through the same path as read_spec, so ``specinv info``
+validates the whole file, payload included, the way ``synthesize`` does.
 
 Writes go through a temp file in the destination directory followed by an
 atomic rename, so a failed run never leaves a partial file.  Concurrent
@@ -66,6 +69,8 @@ _HEADER_FIELDS = (
 
 _WAVE_PCM = 0x0001
 _WAVE_IEEE_FLOAT = 0x0003
+# write_wav encoding -> (format code, bytes per sample)
+_WAV_ENCODINGS = {"pcm16": (_WAVE_PCM, 2), "float32": (_WAVE_IEEE_FLOAT, 4)}
 
 
 class MultiChannelWarning(UserWarning):
@@ -204,22 +209,26 @@ def write_wav(path, x: Waveform, encoding: str = "float32") -> None:
     pcm16 clamps to [-1, 1] and scales by 32767 with round-half-away-from-
     zero; float32 stores samples verbatim.
     """
+    if encoding not in _WAV_ENCODINGS:
+        raise InvalidInputError(f"unknown encoding {encoding!r}; use 'pcm16' or 'float32'")
+    fmt_code, block_align = _WAV_ENCODINGS[encoding]
+    byte_rate = x.sample_rate * block_align
+    data_size = len(x.samples) * block_align
+    # The byte rate bounds the sample-rate field and the RIFF size bounds the data size.
+    for field, value in (("byte rate", byte_rate), ("RIFF size", 36 + data_size)):
+        if value > 0xFFFFFFFF:
+            raise InvalidInputError(f"WAV {field} {value} does not fit in 32 bits")
     if encoding == "pcm16":
         clamped = np.clip(x.samples, -1.0, 1.0) * 32767.0
         payload = np.copysign(np.floor(np.abs(clamped) + 0.5), clamped).astype("<i2").tobytes()
-        fmt_code, bits = _WAVE_PCM, 16
-    elif encoding == "float32":
-        payload = x.samples.astype("<f4").tobytes()
-        fmt_code, bits = _WAVE_IEEE_FLOAT, 32
     else:
-        raise InvalidInputError(f"unknown encoding {encoding!r}; use 'pcm16' or 'float32'")
+        payload = x.samples.astype("<f4").tobytes()
 
-    block_align = bits // 8
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header = b"RIFF" + struct.pack("<I", 36 + data_size) + b"WAVE"
     header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, fmt_code, 1, x.sample_rate, x.sample_rate * block_align, block_align, bits
+        "<IHHIIHH", 16, fmt_code, 1, x.sample_rate, byte_rate, block_align, 8 * block_align
     )
-    header += b"data" + struct.pack("<I", len(payload))
+    header += b"data" + struct.pack("<I", data_size)
     _atomic_write(path, header + payload)
 
 
@@ -249,7 +258,10 @@ def write_spec(path, spec: Spectrogram) -> None:
     _atomic_write(path, header + spec.data.astype("<f4").tobytes())
 
 
-def _parse_spec_header(raw: bytes) -> dict:
+def _read_spec(path) -> tuple[dict, Spectrogram]:
+    """Read and fully validate an MVS1 file: ``(header fields, spectrogram)``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < _HEADER.size:
         raise FormatError(
             f"truncated header: expected {_HEADER.size} bytes, got {len(raw)}"
@@ -269,18 +281,6 @@ def _parse_spec_header(raw: bytes) -> dict:
     if head["centered"] not in (0, 1):
         raise FormatError(f"centered flag must be 0 or 1, got {head['centered']}")
     head["centered"] = bool(head["centered"])
-    return head
-
-
-def read_spec(path) -> Spectrogram:
-    """Read an MVS1 file back into a :class:`Spectrogram`.
-
-    The result passes every spectrogram invariant; inconsistent headers
-    surface as :class:`FormatError`.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head = _parse_spec_header(raw)
     expected = head["n_frames"] * head["n_bins"] * 4
     actual = len(raw) - _HEADER.size
     if actual != expected:
@@ -296,15 +296,23 @@ def read_spec(path) -> Spectrogram:
         window = WindowKind(head["window"], head["kaiser_beta"])
         config = FrameConfig(head["win_length"], head["hop_length"], window, head["centered"])
         clip = ClipMode(head["clip"], head["clip_tau"])
-        return Spectrogram(
+        spec = Spectrogram(
             head["kind"], data, config, clip, head["sample_rate"], head["original_length"]
         )
-    except (InvalidInputError, ValueError) as exc:
+    except ValueError as exc:
         raise FormatError(f"header describes an invalid spectrogram: {exc}") from exc
+    return head, spec
+
+
+def read_spec(path) -> Spectrogram:
+    """Read an MVS1 file back into a :class:`Spectrogram`.
+
+    The result passes every spectrogram invariant; inconsistent headers
+    surface as :class:`FormatError`.
+    """
+    return _read_spec(path)[1]
 
 
 def spec_info(path) -> dict:
-    """Header metadata of an MVS1 file (payload left unread)."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-    return _parse_spec_header(raw)
+    """Header metadata of an MVS1 file that :func:`read_spec` accepts."""
+    return _read_spec(path)[0]

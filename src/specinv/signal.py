@@ -73,6 +73,9 @@ class WindowKind:
             )
         if not np.isfinite(self.beta) or self.beta < 0:
             raise InvalidConfigError(f"kaiser beta must be >= 0, got {self.beta}")
+        # np.kaiser divides by i0(beta), which overflows float64 above beta ~709.78.
+        if self.beta > 709.0:
+            raise InvalidConfigError(f"kaiser beta must be <= 709, got {self.beta}")
         if self.name != "kaiser" and self.beta != 0.0:
             raise InvalidConfigError("beta is only meaningful for kaiser windows")
 

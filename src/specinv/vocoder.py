@@ -44,16 +44,18 @@ class Kind(NamedTuple):
     algo: str  # the CLI ``--algo`` name
     forward: Callable[..., np.ndarray]
     inverse: Callable[..., np.ndarray] | None  # None: no synthesis path
-    half_spectrum: bool  # win_length // 2 + 1 bins instead of win_length
+    half_spectrum: bool = False  # win_length // 2 + 1 bins instead of win_length
+    even_window: bool = False  # win_length must be even
+    unsigned: bool = False  # data is nonnegative, so clip must be none
 
 
 # A kind's position here, like a clip mode's in CLIP_MODES, is its MVS1
 # header code (see io.py): append new entries, never reorder.
 KINDS = {
-    "real_fft": Kind("fft-real", transforms.dft_real_part, transforms.idft_from_real, False),
-    "dct": Kind("dct", transforms.dct2, transforms.dct3, False),
-    "packed_rfft": Kind("prft", transforms.rfft_packed, transforms.irfft_packed, False),
-    "magnitude": Kind("magnitude", _magnitude, None, True),
+    "real_fft": Kind("fft-real", transforms.dft_real_part, transforms.idft_from_real),
+    "dct": Kind("dct", transforms.dct2, transforms.dct3),
+    "packed_rfft": Kind("prft", transforms.rfft_packed, transforms.irfft_packed, even_window=True),
+    "magnitude": Kind("magnitude", _magnitude, None, half_spectrum=True, unsigned=True),
 }
 SPECTROGRAM_KINDS = tuple(KINDS)
 CLIP_MODES = ("none", "zero", "threshold")
@@ -65,6 +67,16 @@ def _kind(kind: str) -> Kind:
             f"unknown spectrogram kind {kind!r}; expected one of {SPECTROGRAM_KINDS}"
         )
     return KINDS[kind]
+
+
+def _check_kind_rules(kind: str, config: FrameConfig, clip: ClipMode) -> Kind:
+    """``kind``'s table row, once ``config`` and ``clip`` obey its rules."""
+    row = _kind(kind)
+    if row.even_window and config.win_length % 2:
+        raise InvalidConfigError(f"{kind} requires an even win_length, got {config.win_length}")
+    if row.unsigned and clip.mode != "none":
+        raise InvalidConfigError(f"{kind} spectrograms are already nonnegative; use clip none")
+    return row
 
 
 @dataclass(frozen=True)
@@ -144,6 +156,7 @@ class Spectrogram:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2:
             raise InvalidInputError(f"spectrogram data must be 2-D, got shape {data.shape}")
+        unsigned = _check_kind_rules(self.kind, self.config, self.clip).unsigned
         bins = expected_bins(self.kind, self.config.win_length)
         if data.shape[1] != bins:
             raise InvalidInputError(
@@ -153,7 +166,7 @@ class Spectrogram:
         _check_frame_count(data.shape[0], self.config, self.original_length)
         if not np.isfinite(data).all():
             raise InvalidInputError("spectrogram data contains NaN or Inf")
-        if self.kind == "magnitude" or self.clip.mode == "zero":
+        if unsigned or self.clip.mode == "zero":
             if data.size and data.min() < 0.0:
                 raise InvalidInputError(
                     f"{self.kind}/{self.clip.label()} spectrogram must be nonnegative"
@@ -224,19 +237,13 @@ def analyze(
     workers : int
         Worker threads for the batch transform (1 = single-threaded).
     """
-    forward = _kind(kind).forward
     if not isinstance(clip, ClipMode):
         clip = ClipMode.parse(clip)
     if workers < 1:
         raise InvalidConfigError("workers must be >= 1")
     if len(x) == 0:
         raise InvalidInputError("cannot analyze an empty waveform")
-    if kind == "packed_rfft" and config.win_length % 2:
-        raise InvalidConfigError(
-            f"packed_rfft requires an even win_length, got {config.win_length}"
-        )
-    if kind == "magnitude" and clip.mode != "none":
-        raise InvalidConfigError("magnitude spectrograms are already nonnegative; use clip none")
+    forward = _check_kind_rules(kind, config, clip).forward
 
     fm = frame_signal(x, config)
     data = apply_clip(forward(fm.frames, workers=workers), clip)

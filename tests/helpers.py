@@ -6,10 +6,13 @@ package: DFT/DCT sums are evaluated as explicit O(N^2) matrix products,
 framing as a Python loop, and the mel-cepstral pipeline is re-derived
 from scratch.  Tests compare the package against these.
 """
+import os
 import struct
+import tempfile
 
 import numpy as np
 
+from specinv.io import write_spec
 from specinv.signal import OLA_EPS, FrameConfig, Waveform, WindowKind, make_window
 from specinv.vocoder import ClipMode, analyze
 
@@ -218,6 +221,69 @@ def lying_spec_bytes(original_length=2**40):
         "<4sHBBBffIIBIQII", b"MVS1", 1, 1, 0, 0, 0.0, 0.0, 4, 2, 1, 22050, original_length, 1, 4
     )
     return header + np.zeros(4, "<f4").tobytes()
+
+
+# (name, struct code) of each MVS1 header field, in file order (see io.py)
+MVS1_FIELDS = (
+    ("magic", "4s"), ("version", "H"), ("kind", "B"), ("window", "B"), ("clip", "B"),
+    ("clip_tau", "f"), ("kaiser_beta", "f"), ("win_length", "I"), ("hop_length", "I"),
+    ("centered", "B"), ("sample_rate", "I"), ("original_length", "Q"), ("n_frames", "I"),
+    ("n_bins", "I"),
+)
+# The same for a 44-byte WAV header with a 16-byte fmt chunk, as write_wav writes
+WAV_FIELDS = (
+    ("riff", "4s"), ("riff_size", "I"), ("wave", "4s"), ("fmt_id", "4s"), ("fmt_size", "I"),
+    ("format", "H"), ("channels", "H"), ("sample_rate", "I"), ("byte_rate", "I"),
+    ("block_align", "H"), ("bits", "H"), ("data_id", "4s"), ("data_size", "I"),
+)
+
+
+def field_slots(fields):
+    """``{name: (offset, struct code)}`` of consecutive little-endian fields."""
+    slots, offset = {}, 0
+    for name, code in fields:
+        slots[name] = (offset, code)
+        offset += struct.calcsize("<" + code)
+    return slots
+
+
+def patch_spec(raw, **fields):
+    """``raw`` MVS1 bytes with the named header fields overwritten."""
+    out = bytearray(raw)
+    slots = field_slots(MVS1_FIELDS)
+    for name, value in fields.items():
+        offset, code = slots[name]
+        struct.pack_into("<" + code, out, offset, value)
+    return bytes(out)
+
+
+def spec_bytes(spec):
+    """The MVS1 file ``write_spec`` writes for ``spec``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "a.mvs")
+        write_spec(path, spec)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def invalid_spec_files():
+    """MVS1 files that each break one rule of the format, as
+    ``{name: (bytes, fragment of the FormatError message)}``."""
+    x = Waveform(np.random.default_rng(7).normal(size=300) * 0.4, 22050)
+    odd = spec_bytes(analyze(x, FrameConfig(33, 8), "dct"))
+    mag = spec_bytes(analyze(x, FrameConfig(32, 8, WindowKind.kaiser(8.0)), "magnitude"))
+    unsigned = "magnitude spectrograms are already nonnegative; use clip none"
+    return {
+        "odd_window_packed": (
+            patch_spec(odd, kind=2), "packed_rfft requires an even win_length, got 33"
+        ),
+        "magnitude_zero": (patch_spec(mag, clip=1), unsigned),
+        "magnitude_threshold": (patch_spec(mag, clip=2, clip_tau=0.05), unsigned),
+        "lying_frame_count": (lying_spec_bytes(), "1 frames do not match"),
+        "nan_kaiser_beta": (patch_spec(mag, kaiser_beta=float("nan")), "kaiser beta must be >= 0"),
+        "zero_sample_rate": (patch_spec(odd, sample_rate=0), "sample_rate must be a positive integer"),
+        "truncated_payload": (odd[:-4], "payload size mismatch"),
+    }
 
 
 def random_spectrogram(rng):

@@ -19,7 +19,7 @@ PUBLIC_NAMES = frozenset(
         # metrics
         "McdConfig", "snr_db", "mcd", "mel_filterbank",
         # bench
-        "BenchSpec", "BenchReport", "run_bench", "make_tone", "format_table", "to_jsonl",
+        "BenchSpec", "BenchReport", "run_bench", "make_tone", "to_jsonl",
         # io
         "read_wav", "write_wav", "wav_info", "read_spec", "write_spec", "spec_info",
         "MultiChannelWarning",

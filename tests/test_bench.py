@@ -7,7 +7,6 @@ from specinv.bench import (
     TSV_COLUMNS,
     BenchReport,
     BenchSpec,
-    format_table,
     run_bench,
     make_tone,
     to_jsonl,
@@ -137,14 +136,11 @@ def test_tsv_row_has_stable_columns():
     assert cells[3] == "zero"
 
 
-def test_format_table_and_jsonl():
+def test_to_jsonl_one_record_per_report():
     r1 = run_bench(_spec(), clock=MockClock([0.0, 0.5, 1.0, 1.5]))
     r2 = run_bench(_spec(kind="dct"), clock=MockClock([0.0, 0.25, 1.0, 1.25]))
-    table = format_table([r1, r2])
-    lines = table.splitlines()
-    assert len(lines) == 3
-    assert lines[0].split()[:2] == ["pipeline", "win"]
     records = [json.loads(line) for line in to_jsonl([r1, r2]).splitlines()]
+    assert len(records) == 2
     assert records[0]["pipeline"] == "packed_rfft"
     assert records[1]["pipeline"] == "dct"
 

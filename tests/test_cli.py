@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import lying_spec_bytes, synthetic_speech
+from helpers import invalid_spec_files, lying_spec_bytes, patch_spec, spec_bytes, synthetic_speech
 
 from specinv.cli import build_parser, dispatch
 from specinv.errors import InvalidInputError, MeasurementError, SpecinvError, UnsupportedCodecError
@@ -216,6 +216,32 @@ def test_synthesize_lying_header_is_format_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: format:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(invalid_spec_files()))
+def test_info_and_synthesize_reject_invalid_spec_alike(tmp_path, capsys, name):
+    bad = tmp_path / "bad.mvs"
+    bad.write_bytes(invalid_spec_files()[name][0])
+    out = tmp_path / "out.wav"
+    assert dispatch(["info", str(bad)]) == 1
+    info = capsys.readouterr()
+    assert dispatch(["synthesize", str(bad), str(out)]) == 1
+    synth = capsys.readouterr()
+    assert info.out == synth.out == ""
+    assert info.err == synth.err
+    assert info.err.startswith("error: format: ") and info.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_synthesize_rate_beyond_wav_range_is_input_error(tmp_path, capsys):
+    x = Waveform(np.linspace(-0.5, 0.5, 300), 8000)
+    mvs = tmp_path / "fast.mvs"
+    mvs.write_bytes(patch_spec(spec_bytes(analyze(x, FrameConfig(32, 16), "dct")), sample_rate=2**31))
+    assert len(mvs.read_bytes()) < 3000
+    out = tmp_path / "out.wav"
+    assert dispatch(["synthesize", str(mvs), str(out)]) == 1
+    assert capsys.readouterr().err == "error: input: WAV byte rate 8589934592 does not fit in 32 bits\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.mvs"]
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,31 @@
+import io
+import os
+import resource
 import struct
+import tempfile
+import warnings
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import lying_spec_bytes, make_wav_bytes, random_spectrogram, wav_fuzz_corpus
+from helpers import (
+    MVS1_FIELDS,
+    WAV_FIELDS,
+    field_slots,
+    invalid_spec_files,
+    lying_spec_bytes,
+    make_wav_bytes,
+    random_spectrogram,
+    spec_bytes,
+    wav_fuzz_corpus,
+)
 
+from specinv.cli import dispatch
 from specinv.errors import FormatError, InvalidInputError, UnsupportedCodecError
 from specinv.io import (
     MultiChannelWarning,
@@ -18,7 +38,7 @@ from specinv.io import (
 )
 from specinv.metrics import snr_db
 from specinv.signal import FrameConfig, Waveform, WindowKind
-from specinv.vocoder import ClipMode, analyze, synthesize
+from specinv.vocoder import ClipMode, Spectrogram, analyze, synthesize
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +188,43 @@ def test_float32_roundtrip_bit_identity(tmp_path, rng):
 def test_unknown_encoding_rejected(tmp_path):
     with pytest.raises(InvalidInputError):
         write_wav(tmp_path / "a.wav", Waveform([0.0], 22050), encoding="pcm8")
+
+
+@pytest.mark.parametrize("encoding,byte_rate", [("pcm16", 2**32), ("float32", 2**33)])
+def test_write_wav_rejects_byte_rate_beyond_u32(tmp_path, encoding, byte_rate):
+    path = tmp_path / "a.wav"
+    with pytest.raises(InvalidInputError, match=f"WAV byte rate {byte_rate} does not fit in 32 bits"):
+        write_wav(path, Waveform([0.0], 2**31), encoding=encoding)
+    assert not list(tmp_path.iterdir())
+    write_wav(path, Waveform([0.0], 2**32 // 4 - 1), encoding=encoding)
+    assert wav_info(path)["sample_rate"] == 2**32 // 4 - 1
+
+
+@contextmanager
+def _address_space_capped(extra=1 << 30):
+    """Let this process map at most ``extra`` more bytes, so code that encodes
+    a multi-GiB stub raises MemoryError instead of filling the host's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("encoding,width", [("pcm16", 2), ("float32", 4)])
+def test_write_wav_rejects_data_beyond_u32(tmp_path, encoding, width):
+    # write_wav reads only .samples and .sample_rate, so a zero-stride view
+    # stands in for a signal whose payload would not fit the RIFF size field.
+    n = (2**32 - 36) // width + 1
+    huge = SimpleNamespace(samples=np.broadcast_to(np.float64(0.0), (n,)), sample_rate=8000)
+    with _address_space_capped():
+        with pytest.raises(InvalidInputError, match=f"WAV RIFF size {36 + n * width} does not fit"):
+            write_wav(tmp_path / "a.wav", huge, encoding=encoding)
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +385,113 @@ def test_threshold_clip_survives_f32_container(tmp_path, rng):
     assert back.clip.mode == "threshold"
     data = back.data
     assert ((data == 0.0) | (data > back.tau_floor())).all()
+
+
+@pytest.mark.parametrize("name", sorted(invalid_spec_files()))
+def test_invalid_spec_rejected_alike_by_read_spec_and_spec_info(tmp_path, name):
+    raw, message = invalid_spec_files()[name]
+    path = tmp_path / "bad.mvs"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=message) as read_err:
+        read_spec(path)
+    with pytest.raises(FormatError) as info_err:
+        spec_info(path)
+    assert str(info_err.value) == str(read_err.value)
+
+
+# ---------------------------------------------------------------------------
+# Property tests: any edit of a valid file is read back or rejected as a
+# FormatError, never anything else
+# ---------------------------------------------------------------------------
+
+
+def _valid_spec_files():
+    x = Waveform(np.random.default_rng(3).normal(size=40) * 0.4, 8000)
+    return [
+        spec_bytes(analyze(x, FrameConfig(8, 4), "real_fft", ClipMode.zero())),
+        spec_bytes(analyze(x, FrameConfig(8, 3, WindowKind.kaiser(8.0)), "dct", ClipMode.threshold(0.05))),
+        spec_bytes(analyze(x, FrameConfig(8, 8, WindowKind.boxcar(), centered=False), "packed_rfft")),
+        spec_bytes(analyze(x, FrameConfig(9, 4), "magnitude")),
+    ]
+
+
+def _valid_wav_files():
+    pcm16 = struct.pack("<6h", 0, 1, -1, 32767, -32768, 5)
+    return [
+        make_wav_bytes(pcm16, 1, 16),
+        make_wav_bytes(pcm16, 1, 16, channels=2),
+        make_wav_bytes(pcm16, 1, 24),
+        make_wav_bytes(pcm16[:8], 1, 32),
+        make_wav_bytes(np.array([0.5, -0.25], "<f4").tobytes(), 3, 32),
+    ]
+
+
+@st.composite
+def edited_files(draw, files, fields):
+    """A valid file with one header field overwritten by any value of its
+    width, or truncated, or extended."""
+    raw = draw(st.sampled_from(files))
+    edit = draw(st.sampled_from(("field", "truncate", "extend")))
+    if edit == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if edit == "extend":
+        return raw + draw(st.binary(min_size=1, max_size=64))
+    offset, code = draw(st.sampled_from(sorted(field_slots(fields).values())))
+    size = struct.calcsize("<" + code)
+    if code == "f":
+        value = struct.pack("<f", draw(st.floats(width=32)))
+    elif code.endswith("s"):
+        value = draw(st.binary(min_size=size, max_size=size))
+    else:
+        value = draw(st.integers(0, 2 ** (8 * size) - 1)).to_bytes(size, "little")
+    return raw[:offset] + value + raw[offset + size :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_files(_valid_spec_files(), MVS1_FIELDS))
+def test_any_mvs1_edit_reads_back_or_is_one_format_error(raw):
+    with tempfile.TemporaryDirectory() as d:
+        path, out = os.path.join(d, "in.mvs"), os.path.join(d, "out.wav")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            spec = read_spec(path)
+        except FormatError:
+            spec = None
+            with pytest.raises(FormatError):
+                spec_info(path)
+        else:
+            assert isinstance(spec, Spectrogram)
+            assert spec_info(path)["n_frames"] == spec.n_frames
+        err = io.StringIO()
+        # A warning would reach a CLI user's stderr as extra lines.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = dispatch(["synthesize", path, out])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1)
+        assert len(lines) == code and all(line.startswith("error: ") for line in lines)
+        assert os.path.exists(out) == (code == 0)
+        if spec is None:
+            assert lines[0].startswith("error: format: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_files(_valid_wav_files(), WAV_FIELDS))
+def test_any_wav_edit_reads_back_or_is_a_format_error(raw):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "in.wav")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", MultiChannelWarning)
+            try:
+                x = read_wav(path)
+            except FormatError:
+                with pytest.raises(FormatError):
+                    wav_info(path)
+                return
+        assert isinstance(x, Waveform)
+        assert wav_info(path)["n_samples"] == len(x)

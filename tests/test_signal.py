@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,14 @@ def test_window_kind_validation():
         WindowKind.kaiser(-1.0)
     with pytest.raises(InvalidConfigError):
         WindowKind("hann", beta=2.0)
+
+
+def test_kaiser_beta_bounded_where_the_window_is_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.kaiser warns when i0(beta) overflows
+        assert np.isfinite(make_window(WindowKind.kaiser(709.0), 1025)).all()
+    with pytest.raises(InvalidConfigError, match="^kaiser beta must be <= 709, got 710.0$"):
+        WindowKind.kaiser(710.0)
 
 
 def test_window_kind_parse():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -114,6 +116,33 @@ def test_analyze_packed_odd_window_rejected(rng):
     x = Waveform(rng.normal(size=4000), 22050)
     with pytest.raises(InvalidConfigError):
         analyze(x, FrameConfig(255, 64), "packed_rfft")
+
+
+UNSIGNED_RULE = "magnitude spectrograms are already nonnegative; use clip none"
+
+
+@pytest.mark.parametrize(
+    "kind,win,clip,message",
+    [
+        ("packed_rfft", 255, ClipMode.none(), "packed_rfft requires an even win_length, got 255"),
+        ("magnitude", 256, ClipMode.zero(), UNSIGNED_RULE),
+        ("magnitude", 256, ClipMode.threshold(0.05), UNSIGNED_RULE),
+    ],
+    ids=["packed_rfft-odd-window", "magnitude-zero", "magnitude-threshold"],
+)
+def test_kind_rules_hold_in_analyze_and_spectrogram(rng, monkeypatch, kind, win, clip, message):
+    x = Waveform(rng.normal(size=4000), 22050)
+    cfg = FrameConfig(win, 64)
+    data = np.zeros((frame_signal(x, cfg).n_frames, expected_bins(kind, win)))
+
+    def no_framing(*args):
+        raise AssertionError("a rejected config must not be framed")
+
+    monkeypatch.setattr("specinv.vocoder.frame_signal", no_framing)
+    with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+        analyze(x, cfg, kind, clip)
+    with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+        Spectrogram(kind, data, cfg, clip, 22050, len(x))
 
 
 def test_analyze_empty_waveform_rejected():
