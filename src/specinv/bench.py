@@ -28,7 +28,9 @@ __all__ = [
 
 STAGES = ("synthesize_only", "analyze_only", "roundtrip")
 
+# tsv_row's columns are to_dict() keys; a column not listed here prints as str().
 TSV_COLUMNS = ("pipeline", "win", "hop", "clip", "khz", "rtf", "mean_s", "std_s")
+_TSV_FORMATS = {"khz": ".1f", "rtf": ".1f", "mean_s": ".6g", "std_s": ".6g"}
 
 
 @dataclass(frozen=True)
@@ -98,18 +100,8 @@ class BenchReport:
 
     def tsv_row(self) -> str:
         """The stable tab-separated stdout row (see TSV_COLUMNS)."""
-        return "\t".join(
-            [
-                self.spec.kind,
-                str(self.spec.config.win_length),
-                str(self.spec.config.hop_length),
-                self.spec.clip.label(),
-                f"{self.khz:.1f}",
-                f"{self.rtf:.1f}",
-                f"{self.mean_seconds:.6g}",
-                f"{self.stddev_seconds:.6g}",
-            ]
-        )
+        row = self.to_dict()
+        return "\t".join(format(row[column], _TSV_FORMATS.get(column, "")) for column in TSV_COLUMNS)
 
 
 def make_tone(duration: float, sample_rate: int) -> Waveform:

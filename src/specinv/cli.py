@@ -67,7 +67,7 @@ def _add_threads_flag(p):
 def _add_encoding_flag(p):
     p.add_argument(
         "--encoding",
-        choices=("pcm16", "float32"),
+        choices=tuple(io_mod._WAV_ENCODINGS),
         default="float32",
         help="WAV sample encoding (default float32)",
     )
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time a pipeline and report throughput",
         description="Benchmark a pipeline: warm-up plus timed runs, reported as a "
-        "tab-separated row (pipeline, win, hop, clip, khz, rtf, mean_s, std_s).",
+        f"tab-separated row ({', '.join(bench_mod.TSV_COLUMNS)}).",
     )
     _add_pipeline_flags(p)
     p.add_argument("--duration", type=float, default=10.0, metavar="SEC", help="test clip length in seconds (default 10)")
@@ -192,6 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", metavar="FILE", help="WAV or MVS1 file")
 
     return parser
+
+
+def _print_quality(ref, est, mcd_config=metrics_mod.McdConfig()) -> None:
+    print(f"snr_db\t{metrics_mod.snr_db(ref, est)!r}")
+    print(f"mcd\t{metrics_mod.mcd(ref, est, mcd_config)!r}")
 
 
 def _cmd_analyze(args) -> int:
@@ -218,8 +223,7 @@ def _cmd_roundtrip(args) -> int:
     y = synthesize(spec, workers=args.threads)
     io_mod.write_wav(args.output, y, encoding=args.encoding)
     if args.report:
-        print(f"snr_db\t{metrics_mod.snr_db(x, y)!r}")
-        print(f"mcd\t{metrics_mod.mcd(x, y)!r}")
+        _print_quality(x, y)
     return 0
 
 
@@ -227,8 +231,7 @@ def _cmd_metrics(args) -> int:
     cfg = metrics_mod.McdConfig(n_mel_bands=args.mcd_bands, n_cepstra=args.mcd_cepstra)
     ref = io_mod.read_wav(args.reference)
     est = io_mod.read_wav(args.estimate)
-    print(f"snr_db\t{metrics_mod.snr_db(ref, est)!r}")
-    print(f"mcd\t{metrics_mod.mcd(ref, est, cfg)!r}")
+    _print_quality(ref, est, cfg)
     return 0
 
 

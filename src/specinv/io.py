@@ -30,6 +30,10 @@ sized by original_length.  The per-kind rules of vocoder.KINDS hold too:
 packed_rfft needs an even win_length and magnitude needs clip none.
 spec_info reads through the same path as read_spec, so ``specinv info``
 validates the whole file, payload included, the way ``synthesize`` does.
+A file write_spec writes always reads back: a tau or beta that is invalid
+once rounded to float32, a payload value beyond float32 range or a header
+value too wide for its field raises InvalidInputError before any byte is
+written.
 
 Writes go through a temp file in the destination directory followed by an
 atomic rename, so a failed run never leaves a partial file.  Concurrent
@@ -60,12 +64,15 @@ __all__ = [
 
 SPEC_MAGIC = b"MVS1"
 SPEC_VERSION = 1
-_HEADER = struct.Struct("<4sHBBBffIIBIQII")
-_HEADER_FIELDS = (
-    "magic", "version", "kind", "window", "clip", "clip_tau", "kaiser_beta",
-    "win_length", "hop_length", "centered", "sample_rate", "original_length",
-    "n_frames", "n_bins",
-)
+# MVS1 header field -> struct code, in file order (see the module docstring)
+_HEADER_FIELDS = {
+    "magic": "4s", "version": "H", "kind": "B", "window": "B", "clip": "B", "clip_tau": "f",
+    "kaiser_beta": "f", "win_length": "I", "hop_length": "I", "centered": "B",
+    "sample_rate": "I", "original_length": "Q", "n_frames": "I", "n_bins": "I",
+}
+_HEADER = struct.Struct("<" + "".join(_HEADER_FIELDS.values()))
+# Enum fields: a code is the name's position in its tuple.
+_ENUMS = (("kind", SPECTROGRAM_KINDS), ("window", WINDOW_NAMES), ("clip", CLIP_MODES))
 
 _WAVE_PCM = 0x0001
 _WAVE_IEEE_FLOAT = 0x0003
@@ -75,6 +82,15 @@ _WAV_ENCODINGS = {"pcm16": (_WAVE_PCM, 2), "float32": (_WAVE_IEEE_FLOAT, 4)}
 
 class MultiChannelWarning(UserWarning):
     """Raised when a multi-channel WAV is reduced to channel 0."""
+
+
+def _f32_bytes(values: np.ndarray, what: str) -> bytes:
+    """``values`` as little-endian float32 bytes, refusing any that would overflow to inf."""
+    try:
+        with np.errstate(over="raise"):
+            return values.astype("<f4").tobytes()
+    except FloatingPointError:
+        raise InvalidInputError(f"{what} exceed the float32 range (max {np.finfo(np.float32).max:g})") from None
 
 
 def _atomic_write(path, payload: bytes) -> None:
@@ -210,7 +226,7 @@ def write_wav(path, x: Waveform, encoding: str = "float32") -> None:
     zero; float32 stores samples verbatim.
     """
     if encoding not in _WAV_ENCODINGS:
-        raise InvalidInputError(f"unknown encoding {encoding!r}; use 'pcm16' or 'float32'")
+        raise InvalidInputError(f"unknown encoding {encoding!r}; use {' or '.join(map(repr, _WAV_ENCODINGS))}")
     fmt_code, block_align = _WAV_ENCODINGS[encoding]
     byte_rate = x.sample_rate * block_align
     data_size = len(x.samples) * block_align
@@ -222,7 +238,7 @@ def write_wav(path, x: Waveform, encoding: str = "float32") -> None:
         clamped = np.clip(x.samples, -1.0, 1.0) * 32767.0
         payload = np.copysign(np.floor(np.abs(clamped) + 0.5), clamped).astype("<i2").tobytes()
     else:
-        payload = x.samples.astype("<f4").tobytes()
+        payload = _f32_bytes(x.samples, "WAV samples")
 
     header = b"RIFF" + struct.pack("<I", 36 + data_size) + b"WAVE"
     header += b"fmt " + struct.pack(
@@ -236,30 +252,49 @@ def write_wav(path, x: Waveform, encoding: str = "float32") -> None:
 # MVS1 spectrogram container
 # ---------------------------------------------------------------------------
 
-def write_spec(path, spec: Spectrogram) -> None:
-    """Write a spectrogram to the MVS1 container (see module docstring)."""
+def _header(spec: Spectrogram) -> dict:
+    """``spec``'s MVS1 header fields after magic and version, enums by name."""
     cfg = spec.config
-    header = _HEADER.pack(
-        SPEC_MAGIC,
-        SPEC_VERSION,
-        SPECTROGRAM_KINDS.index(spec.kind),
-        WINDOW_NAMES.index(cfg.window.name),
-        CLIP_MODES.index(spec.clip.mode),
-        spec.clip.tau,
-        cfg.window.beta,
-        cfg.win_length,
-        cfg.hop_length,
-        1 if cfg.centered else 0,
-        spec.sample_rate,
-        spec.original_length,
-        spec.n_frames,
-        spec.n_bins,
-    )
-    _atomic_write(path, header + spec.data.astype("<f4").tobytes())
+    return {
+        "kind": spec.kind, "window": cfg.window.name, "clip": spec.clip.mode,
+        "clip_tau": spec.clip.tau, "kaiser_beta": cfg.window.beta, "win_length": cfg.win_length,
+        "hop_length": cfg.hop_length, "centered": bool(cfg.centered), "sample_rate": spec.sample_rate,
+        "original_length": spec.original_length, "n_frames": spec.n_frames, "n_bins": spec.n_bins,
+    }
 
 
-def _read_spec(path) -> tuple[dict, Spectrogram]:
-    """Read and fully validate an MVS1 file: ``(header fields, spectrogram)``."""
+def write_spec(path, spec: Spectrogram) -> None:
+    """Write a spectrogram to the MVS1 container (see module docstring).
+
+    A spectrogram :func:`read_spec` could not read back raises
+    :class:`InvalidInputError` before any byte is written: a tau or beta
+    that is invalid once rounded to float32, a payload value beyond float32
+    range, or a value too wide for its header field.
+    """
+    fields = {"magic": SPEC_MAGIC, "version": SPEC_VERSION, **_header(spec)}
+    for what, cls, name in (("clip", ClipMode, "clip_tau"), ("window", WindowKind, "kaiser_beta")):
+        stored = float(np.float32(fields[name]))
+        try:
+            cls(fields[what], stored)
+        except ValueError as exc:
+            raise InvalidInputError(f"MVS1 {name} {fields[name]!r} is {stored!r} as float32: {exc}") from None
+    for what, names in _ENUMS:
+        fields[what] = names.index(fields[what])
+    header = b""
+    for name, code in _HEADER_FIELDS.items():
+        try:
+            header += struct.pack("<" + code, fields[name])
+        except struct.error as exc:
+            raise InvalidInputError(f"MVS1 {name} {fields[name]!r} does not fit its header field: {exc}") from None
+    _atomic_write(path, header + _f32_bytes(spec.data, "MVS1 payload values"))
+
+
+def read_spec(path) -> Spectrogram:
+    """Read an MVS1 file back into a :class:`Spectrogram`.
+
+    The result passes every spectrogram invariant; inconsistent headers
+    surface as :class:`FormatError`.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -273,8 +308,7 @@ def _read_spec(path) -> tuple[dict, Spectrogram]:
         raise FormatError(f"bad magic {magic!r}; expected {SPEC_MAGIC!r}")
     if version != SPEC_VERSION:
         raise FormatError(f"unsupported version {version}; expected {SPEC_VERSION}")
-    # Enum bytes are the name's position in its tuple.
-    for what, names in (("kind", SPECTROGRAM_KINDS), ("window", WINDOW_NAMES), ("clip", CLIP_MODES)):
+    for what, names in _ENUMS:
         if head[what] >= len(names):
             raise FormatError(f"unknown {what} code {head[what]}")
         head[what] = names[head[what]]
@@ -296,23 +330,13 @@ def _read_spec(path) -> tuple[dict, Spectrogram]:
         window = WindowKind(head["window"], head["kaiser_beta"])
         config = FrameConfig(head["win_length"], head["hop_length"], window, head["centered"])
         clip = ClipMode(head["clip"], head["clip_tau"])
-        spec = Spectrogram(
+        return Spectrogram(
             head["kind"], data, config, clip, head["sample_rate"], head["original_length"]
         )
     except ValueError as exc:
         raise FormatError(f"header describes an invalid spectrogram: {exc}") from exc
-    return head, spec
-
-
-def read_spec(path) -> Spectrogram:
-    """Read an MVS1 file back into a :class:`Spectrogram`.
-
-    The result passes every spectrogram invariant; inconsistent headers
-    surface as :class:`FormatError`.
-    """
-    return _read_spec(path)[1]
 
 
 def spec_info(path) -> dict:
     """Header metadata of an MVS1 file that :func:`read_spec` accepts."""
-    return _read_spec(path)[0]
+    return _header(read_spec(path))

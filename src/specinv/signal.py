@@ -279,14 +279,13 @@ def overlap_add(frames: FrameMatrix) -> Waveform:
     n_out = frames.original_length
     _, pad, span = _geometry(config, n_out)
 
-    acc = np.zeros(span)
-    wsum = np.zeros(span)
+    # Uncentered framing can leave a tail no frame covers; it comes out as 0 / OLA_EPS = +0.0.
+    acc = np.zeros(max(span, pad + n_out))
+    wsum = np.zeros(acc.shape[0])
     w = make_window(config.window, win)
     for f in range(frames.n_frames):
         start = f * hop
         acc[start : start + win] += data[f]
         wsum[start : start + win] += w
     y = acc[pad : pad + n_out] / np.maximum(wsum[pad : pad + n_out], OLA_EPS)
-    if y.shape[0] < n_out:
-        y = np.concatenate([y, np.zeros(n_out - y.shape[0])])
     return Waveform(y, frames.sample_rate)

@@ -230,6 +230,7 @@ MVS1_FIELDS = (
     ("centered", "B"), ("sample_rate", "I"), ("original_length", "Q"), ("n_frames", "I"),
     ("n_bins", "I"),
 )
+MVS1_HEADER_SIZE = struct.calcsize("<" + "".join(code for _, code in MVS1_FIELDS))
 # The same for a 44-byte WAV header with a 16-byte fmt chunk, as write_wav writes
 WAV_FIELDS = (
     ("riff", "4s"), ("riff_size", "I"), ("wave", "4s"), ("fmt_id", "4s"), ("fmt_size", "I"),
@@ -255,6 +256,15 @@ def patch_spec(raw, **fields):
         offset, code = slots[name]
         struct.pack_into("<" + code, out, offset, value)
     return bytes(out)
+
+
+def patch_payload(raw, start, values):
+    """``raw`` MVS1 bytes with the float32 payload values from index ``start``
+    on overwritten by ``values``."""
+    offset = MVS1_HEADER_SIZE + 4 * start
+    blob = np.asarray(values, "<f4").tobytes()
+    assert offset + len(blob) <= len(raw)
+    return raw[:offset] + blob + raw[offset + len(blob) :]
 
 
 def spec_bytes(spec):

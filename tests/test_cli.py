@@ -1,9 +1,13 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import invalid_spec_files, lying_spec_bytes, patch_spec, spec_bytes, synthetic_speech
+from helpers import (
+    invalid_spec_files, lying_spec_bytes, make_wav_bytes, patch_payload, patch_spec, spec_bytes,
+    synthetic_speech,
+)
 
 from specinv.cli import build_parser, dispatch
 from specinv.errors import InvalidInputError, MeasurementError, SpecinvError, UnsupportedCodecError
@@ -242,6 +246,46 @@ def test_synthesize_rate_beyond_wav_range_is_input_error(tmp_path, capsys):
     assert dispatch(["synthesize", str(mvs), str(out)]) == 1
     assert capsys.readouterr().err == "error: input: WAV byte rate 8589934592 does not fit in 32 bits\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.mvs"]
+
+
+def _dispatch_warning_free(argv):
+    """``dispatch(argv)``; a warning, which a CLI user would see as extra stderr, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return dispatch(argv)
+
+
+@pytest.mark.parametrize(
+    "sample,clip,message",
+    [
+        (0.3, "threshold:1e-50", "MVS1 clip_tau 1e-50 is 0.0 as float32: threshold tau must lie in (0, 1)"),
+        (0.3, "threshold:0.99999999", "MVS1 clip_tau 0.99999999 is 1.0 as float32: threshold tau must lie"),
+        (3e38, "none", "MVS1 payload values exceed the float32 range"),
+    ],
+    ids=["tau_rounds_to_0", "tau_rounds_to_1", "payload_overflows_f32"],
+)
+def test_analyze_writes_no_spec_that_would_not_read_back(tmp_path, capsys, sample, clip, message):
+    src = tmp_path / "in.wav"
+    src.write_bytes(make_wav_bytes(np.full(4000, sample, "<f4").tobytes(), 3, 32, rate=16000))
+    argv = ["analyze", str(src), str(tmp_path / "out.mvs"), "--algo", "dct", "--win", "64", "--hop", "16"]
+    assert _dispatch_warning_free(argv + ["--clip", clip]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input: " + message) and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav"]
+
+
+def test_synthesize_float32_overflow_is_input_error(tmp_path, capsys):
+    x = Waveform(np.linspace(-0.5, 0.5, 300), 8000)
+    spec = analyze(x, FrameConfig(32, 8), "dct")
+    mvs = tmp_path / "big.mvs"
+    mvs.write_bytes(patch_payload(spec_bytes(spec), 0, np.full(spec.data.size, 3e38)))
+    out = tmp_path / "out.wav"
+    assert _dispatch_warning_free(["synthesize", str(mvs), str(out), "--encoding", "float32"]) == 1
+    assert capsys.readouterr().err.startswith("error: input: WAV samples exceed the float32 range")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.mvs"]
+    # pcm16 clamps, so the same spectrogram still synthesizes.
+    assert _dispatch_warning_free(["synthesize", str(mvs), str(out), "--encoding", "pcm16"]) == 0
+    assert read_wav(out).samples.max() == 1.0 - 1.0 / 32768
 
 
 @pytest.mark.parametrize(

@@ -9,17 +9,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import (
     MVS1_FIELDS,
+    MVS1_HEADER_SIZE,
     WAV_FIELDS,
     field_slots,
     invalid_spec_files,
     lying_spec_bytes,
     make_wav_bytes,
+    patch_payload,
     random_spectrogram,
     spec_bytes,
     wav_fuzz_corpus,
@@ -38,7 +40,7 @@ from specinv.io import (
 )
 from specinv.metrics import snr_db
 from specinv.signal import FrameConfig, Waveform, WindowKind
-from specinv.vocoder import ClipMode, Spectrogram, analyze, synthesize
+from specinv.vocoder import ClipMode, Spectrogram, analyze, apply_clip, synthesize
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +401,49 @@ def test_invalid_spec_rejected_alike_by_read_spec_and_spec_info(tmp_path, name):
     assert str(info_err.value) == str(read_err.value)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    clip=st.one_of(
+        st.sampled_from((ClipMode.none(), ClipMode.zero())),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(ClipMode.threshold),
+    ),
+    beta=st.floats(0.0, 709.0),
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=24, max_size=24),
+    sample_rate=st.integers(1, 2**34),
+)
+@example(clip=ClipMode.threshold(1e-50), beta=8.0, values=[0.5] * 24, sample_rate=8000)
+@example(clip=ClipMode.threshold(0.99999999), beta=8.0, values=[0.5] * 24, sample_rate=8000)
+@example(clip=ClipMode.none(), beta=8.0, values=[1e39] * 24, sample_rate=8000)
+@example(clip=ClipMode.none(), beta=8.0, values=[0.5] * 24, sample_rate=2**32)
+def test_write_spec_writes_only_files_read_spec_reads_back(clip, beta, values, sample_rate):
+    data = apply_clip(np.reshape(values, (3, 8)), clip)
+    spec = Spectrogram("dct", data, FrameConfig(8, 4, WindowKind.kaiser(beta)), clip, sample_rate, 8)
+    with np.errstate(over="ignore"):
+        stored = data.astype(np.float32)
+    # Each reason write_spec may give for refusing, and whether it holds.
+    reasons = {
+        "MVS1 clip_tau": clip.mode == "threshold" and not 0.0 < np.float32(clip.tau) < 1.0,
+        "MVS1 payload": not np.isfinite(stored).all(),
+        "MVS1 sample_rate": sample_rate >= 2**32,
+    }
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "a.mvs")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                write_spec(path, spec)
+            except InvalidInputError as exc:
+                assert not os.listdir(d)
+                assert any(str(exc).startswith(name) and holds for name, holds in reasons.items())
+                return
+        assert not any(reasons.values())
+        back = read_spec(path)
+        assert back.data.tobytes() == stored.astype(np.float64).tobytes()
+        assert back.clip.tau == float(np.float32(clip.tau))
+        assert back.config.window.beta == float(np.float32(beta))
+        assert spec_info(path)["sample_rate"] == sample_rate
+
+
 # ---------------------------------------------------------------------------
 # Property tests: any edit of a valid file is read back or rejected as a
 # FormatError, never anything else
@@ -447,11 +492,28 @@ def edited_files(draw, files, fields):
     return raw[:offset] + value + raw[offset + size :]
 
 
+_SPEC_FILES = _valid_spec_files()
+_NASTY_F32 = (np.nan, np.inf, -np.inf, 3e38, -3e38, 1e-45, -1e-45)
+
+
+@st.composite
+def payload_edits(draw, files):
+    """A valid MVS1 file with a run of its payload values overwritten by one
+    float32: NaN, the infinities, values near the float32 limit and
+    subnormals come up often."""
+    raw = draw(st.sampled_from(files))
+    size = (len(raw) - MVS1_HEADER_SIZE) // 4
+    start = draw(st.integers(0, size - 1))
+    value = draw(st.one_of(st.sampled_from(_NASTY_F32), st.floats(width=32)))
+    return patch_payload(raw, start, [value] * draw(st.integers(1, size - start)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(edited_files(_valid_spec_files(), MVS1_FIELDS))
+@given(st.one_of(edited_files(_SPEC_FILES, MVS1_FIELDS), payload_edits(_SPEC_FILES)))
+@example(patch_payload(_SPEC_FILES[1], 0, [3e38] * ((len(_SPEC_FILES[1]) - MVS1_HEADER_SIZE) // 4)))
 def test_any_mvs1_edit_reads_back_or_is_one_format_error(raw):
     with tempfile.TemporaryDirectory() as d:
-        path, out = os.path.join(d, "in.mvs"), os.path.join(d, "out.wav")
+        path = os.path.join(d, "in.mvs")
         with open(path, "wb") as fh:
             fh.write(raw)
         try:
@@ -463,18 +525,20 @@ def test_any_mvs1_edit_reads_back_or_is_one_format_error(raw):
         else:
             assert isinstance(spec, Spectrogram)
             assert spec_info(path)["n_frames"] == spec.n_frames
-        err = io.StringIO()
-        # A warning would reach a CLI user's stderr as extra lines.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = dispatch(["synthesize", path, out])
-        lines = err.getvalue().splitlines()
-        assert code in (0, 1)
-        assert len(lines) == code and all(line.startswith("error: ") for line in lines)
-        assert os.path.exists(out) == (code == 0)
-        if spec is None:
-            assert lines[0].startswith("error: format: ")
+        for encoding in ("pcm16", "float32"):
+            out = os.path.join(d, f"{encoding}.wav")
+            err = io.StringIO()
+            # A warning would reach a CLI user's stderr as extra lines.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = dispatch(["synthesize", path, out, "--encoding", encoding])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1)
+            assert len(lines) == code and all(line.startswith("error: ") for line in lines)
+            assert os.path.exists(out) == (code == 0)
+            if spec is None:
+                assert lines[0].startswith("error: format: ")
 
 
 @settings(max_examples=300, deadline=None)
