@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, MeasurementError
+from .errors import InvalidConfigError, InvalidInputError, MeasurementError, _finite, _whole
 from .signal import FrameConfig, Waveform
 from .vocoder import ClipMode, analyze, synthesize
 
@@ -54,8 +54,12 @@ class BenchSpec:
             raise InvalidConfigError("warmup_runs must be >= 0")
         if self.clip_duration <= 0:
             raise InvalidConfigError("clip_duration must be positive")
+        if not _finite(self.clip_duration):
+            raise InvalidConfigError(f"clip_duration must be finite, got {self.clip_duration}")
         if self.sample_rate <= 0:
             raise InvalidConfigError("sample_rate must be positive")
+        if not _whole(self.sample_rate):
+            raise InvalidConfigError(f"sample_rate must be a positive integer, got {self.sample_rate}")
         if self.stage not in STAGES:
             raise InvalidConfigError(
                 f"unknown stage {self.stage!r}; expected one of {STAGES}"
@@ -106,7 +110,10 @@ class BenchReport:
 
 def make_tone(duration: float, sample_rate: int) -> Waveform:
     """Deterministic 440 Hz test tone used when no input clip is supplied."""
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
+    try:
+        t = np.arange(int(round(duration * sample_rate))) / sample_rate
+    except (ValueError, OverflowError) as exc:  # a NaN, infinite or unindexable sample count
+        raise InvalidConfigError(f"cannot make a {duration} s tone at {sample_rate} Hz: {exc}") from None
     return Waveform(0.5 * np.sin(2.0 * np.pi * 440.0 * t), sample_rate)
 
 

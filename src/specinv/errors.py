@@ -1,9 +1,14 @@
-"""Exception types raised across the library.
+"""Exception types raised across the library, and the number rules behind them.
 
 Every error inherits from :class:`SpecinvError`; most also inherit a
 matching builtin (``ValueError``/``RuntimeError``) so callers that only
-know the standard hierarchy still catch them.
+know the standard hierarchy still catch them.  ``_finite`` and ``_whole``
+are the one definition of a finite and of a whole number that the
+parameter checks share, so NaN, inf or a non-number fails the check with
+its own error instead of escaping from ``int()`` or ``np.isfinite``.
 """
+import math
+import numbers
 
 __all__ = [
     "SpecinvError",
@@ -42,3 +47,13 @@ class UnsupportedCodecError(FormatError):
 
 class MeasurementError(SpecinvError, RuntimeError):
     """A benchmark produced unusable timing data (e.g. zero elapsed time)."""
+
+
+def _finite(value) -> bool:
+    """True for a finite real number; NaN, inf, complex numbers and strings are not."""
+    return isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and math.isfinite(value))
+
+
+def _whole(value) -> bool:
+    """True for a finite real number with no fractional part, such as 4 or 4.0."""
+    return _finite(value) and int(value) == value

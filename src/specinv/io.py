@@ -84,21 +84,22 @@ class MultiChannelWarning(UserWarning):
     """Raised when a multi-channel WAV is reduced to channel 0."""
 
 
-def _f32_bytes(values: np.ndarray, what: str) -> bytes:
-    """``values`` as little-endian float32 bytes, refusing any that would overflow to inf."""
+def _f32(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` as a C-ordered little-endian float32 array, refusing any that would overflow to inf."""
     try:
         with np.errstate(over="raise"):
-            return values.astype("<f4").tobytes()
+            return values.astype("<f4", order="C")
     except FloatingPointError:
         raise InvalidInputError(f"{what} exceed the float32 range (max {np.finfo(np.float32).max:g})") from None
 
 
-def _atomic_write(path, payload: bytes) -> None:
+def _atomic_write(path, *chunks) -> None:
+    """Write ``chunks`` (bytes or C-ordered arrays, whose buffers are written as they are) to ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -236,16 +237,16 @@ def write_wav(path, x: Waveform, encoding: str = "float32") -> None:
             raise InvalidInputError(f"WAV {field} {value} does not fit in 32 bits")
     if encoding == "pcm16":
         clamped = np.clip(x.samples, -1.0, 1.0) * 32767.0
-        payload = np.copysign(np.floor(np.abs(clamped) + 0.5), clamped).astype("<i2").tobytes()
+        payload = np.copysign(np.floor(np.abs(clamped) + 0.5), clamped).astype("<i2", order="C")
     else:
-        payload = _f32_bytes(x.samples, "WAV samples")
+        payload = _f32(x.samples, "WAV samples")
 
     header = b"RIFF" + struct.pack("<I", 36 + data_size) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH", 16, fmt_code, 1, x.sample_rate, byte_rate, block_align, 8 * block_align
     )
     header += b"data" + struct.pack("<I", data_size)
-    _atomic_write(path, header + payload)
+    _atomic_write(path, header, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +287,7 @@ def write_spec(path, spec: Spectrogram) -> None:
             header += struct.pack("<" + code, fields[name])
         except struct.error as exc:
             raise InvalidInputError(f"MVS1 {name} {fields[name]!r} does not fit its header field: {exc}") from None
-    _atomic_write(path, header + _f32_bytes(spec.data, "MVS1 payload values"))
+    _atomic_write(path, header, _f32(spec.data, "MVS1 payload values"))
 
 
 def read_spec(path) -> Spectrogram:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, _finite, _whole
 
 __all__ = [
     "OLA_EPS",
@@ -71,7 +71,7 @@ class WindowKind:
             raise InvalidConfigError(
                 f"unknown window {self.name!r}; expected one of {WINDOW_NAMES}"
             )
-        if not np.isfinite(self.beta) or self.beta < 0:
+        if not _finite(self.beta) or self.beta < 0:
             raise InvalidConfigError(f"kaiser beta must be >= 0, got {self.beta}")
         # np.kaiser divides by i0(beta), which overflows float64 above beta ~709.78.
         if self.beta > 709.0:
@@ -120,9 +120,9 @@ class FrameConfig:
     centered: bool = True
 
     def __post_init__(self):
-        if int(self.win_length) != self.win_length or self.win_length < 2:
+        if not _whole(self.win_length) or self.win_length < 2:
             raise InvalidConfigError(f"win_length must be an integer >= 2, got {self.win_length}")
-        if int(self.hop_length) != self.hop_length or not 1 <= self.hop_length <= self.win_length:
+        if not _whole(self.hop_length) or not 1 <= self.hop_length <= self.win_length:
             raise InvalidConfigError(
                 f"hop_length must satisfy 1 <= hop <= win_length, got "
                 f"hop={self.hop_length} win={self.win_length}"
@@ -148,7 +148,7 @@ class Waveform:
             raise InvalidInputError(f"waveform must be 1-D, got shape {samples.shape}")
         if not np.isfinite(samples).all():
             raise InvalidInputError("waveform contains NaN or Inf samples")
-        if int(self.sample_rate) != self.sample_rate or self.sample_rate <= 0:
+        if not _whole(self.sample_rate) or self.sample_rate <= 0:
             raise InvalidInputError(f"sample_rate must be a positive integer, got {self.sample_rate}")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
@@ -199,7 +199,7 @@ def make_window(kind: WindowKind, length: int) -> np.ndarray:
     which keeps overlap sums constant at hop = N/2, N/4, ...; kaiser is the
     symmetric zeroth-order-Bessel window; boxcar is all ones.
     """
-    if int(length) != length or length < 2:
+    if not _whole(length) or length < 2:
         raise InvalidConfigError(f"window length must be an integer >= 2, got {length}")
     length = int(length)
     if kind.name == "hann":
@@ -263,29 +263,39 @@ def frame_signal(x: Waveform, config: FrameConfig) -> FrameMatrix:
     return FrameMatrix(frames * make_window(config.window, win), config, len(x), x.sample_rate)
 
 
+def _ola(rows: np.ndarray, hop: int, length: int) -> np.ndarray:
+    """Sum the ``(n, win)`` rows, row ``f`` starting at sample ``f*hop``, into ``length`` zeros.
+
+    ``length`` must be at least ``(n - 1)*hop + win``.  Column block ``k``
+    of every row (``rows[:, k*hop:(k+1)*hop]``) lands in a disjoint hop-wide
+    slot at ``(f + k)*hop``, so one in-place add places a whole block.
+    Blocks go in descending ``k``, so the sample at ``q*hop + r`` receives
+    frames ``q - k`` in ascending order, the order of a per-frame loop.
+    """
+    n, win = rows.shape
+    out = np.zeros(length + hop)  # the last block's hop-wide slots may run up to hop - 1 past length
+    for k in reversed(range(-(-win // hop))):
+        out[k * hop : (k + n) * hop].reshape(n, hop)[:, : win - k * hop] += rows[:, k * hop : (k + 1) * hop]
+    return out[:length]
+
+
 def overlap_add(frames: FrameMatrix) -> Waveform:
     """Reconstruct a waveform from frames by normalized overlap-add.
 
     Output sample ``y[n] = sum_f frames[f][n - f*hop] / max(sum_f w[n - f*hop],
-    OLA_EPS)``; frames are accumulated in ascending order so the result is
-    bit-reproducible.  Centering pads are trimmed and the samples uncentered
+    OLA_EPS)``.  One accumulator builds both sums, so the window sum is the
+    overlap-add of the window, and it adds frames in ascending order, so the
+    result is bit-reproducible.  Centering pads are trimmed and the samples uncentered
     framing dropped past its last full frame come back as zeros, so the
     output has ``original_length`` samples.
     """
     config = frames.config
-    win = config.win_length
     hop = config.hop_length
-    data = frames.frames
     n_out = frames.original_length
     _, pad, span = _geometry(config, n_out)
-
     # Uncentered framing can leave a tail no frame covers; it comes out as 0 / OLA_EPS = +0.0.
-    acc = np.zeros(max(span, pad + n_out))
-    wsum = np.zeros(acc.shape[0])
-    w = make_window(config.window, win)
-    for f in range(frames.n_frames):
-        start = f * hop
-        acc[start : start + win] += data[f]
-        wsum[start : start + win] += w
+    length = max(span, pad + n_out)
+    acc = _ola(frames.frames, hop, length)
+    wsum = _ola(np.broadcast_to(make_window(config.window, config.win_length), frames.frames.shape), hop, length)
     y = acc[pad : pad + n_out] / np.maximum(wsum[pad : pad + n_out], OLA_EPS)
     return Waveform(y, frames.sample_rate)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.fft
 
 from . import transforms
-from .errors import InvalidConfigError, InvalidInputError, UnsupportedKindError
+from .errors import InvalidConfigError, InvalidInputError, UnsupportedKindError, _finite, _whole
 from .signal import (
     FrameConfig, FrameMatrix, Waveform, _check_frame_count, frame_signal, overlap_add, parse_name_value,
 )
@@ -97,7 +97,7 @@ class ClipMode:
                 f"unknown clip mode {self.mode!r}; expected one of {CLIP_MODES}"
             )
         if self.mode == "threshold":
-            if not (np.isfinite(self.tau) and 0.0 < self.tau < 1.0):
+            if not (_finite(self.tau) and 0.0 < self.tau < 1.0):
                 raise InvalidConfigError(
                     f"threshold tau must lie in (0, 1), got {self.tau}"
                 )
@@ -178,7 +178,7 @@ class Spectrogram:
                 raise InvalidInputError(
                     f"threshold-clipped spectrogram has entries in (0, {lo:g}]"
                 )
-        if int(self.sample_rate) != self.sample_rate or self.sample_rate <= 0:
+        if not _whole(self.sample_rate) or self.sample_rate <= 0:
             raise InvalidInputError(f"sample_rate must be a positive integer, got {self.sample_rate}")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)

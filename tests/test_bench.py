@@ -110,6 +110,39 @@ def test_spec_validation():
         _spec(workers=0)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("clip_duration", float("nan"), "clip_duration must be finite, got nan"),
+        ("clip_duration", float("inf"), "clip_duration must be finite, got inf"),
+        ("clip_duration", float("-inf"), "clip_duration must be positive"),
+        ("sample_rate", float("nan"), "sample_rate must be a positive integer, got nan"),
+        ("sample_rate", float("inf"), "sample_rate must be a positive integer, got inf"),
+        ("sample_rate", 22050.5, "sample_rate must be a positive integer, got 22050.5"),
+        ("sample_rate", 0, "sample_rate must be positive"),
+    ],
+)
+def test_spec_duration_is_finite_and_rate_whole(field, value, message):
+    with pytest.raises(InvalidConfigError) as exc:
+        _spec(**{field: value})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "duration,rate,reason",
+    [
+        (float("nan"), 8000, "cannot convert float NaN to integer"),
+        (float("inf"), 8000, "cannot convert float infinity to integer"),
+        (1.0, float("nan"), "cannot convert float NaN to integer"),
+        (1e300, 22050, ""),
+    ],
+)
+def test_make_tone_without_a_sample_count_is_config_error(duration, rate, reason):
+    with pytest.raises(InvalidConfigError) as exc:
+        make_tone(duration, rate)
+    assert str(exc.value).startswith(f"cannot make a {duration} s tone at {rate} Hz: {reason}")
+
+
 def test_input_rate_must_match_spec():
     x = make_tone(0.05, 16000)
     with pytest.raises(InvalidInputError):

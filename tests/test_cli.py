@@ -104,6 +104,16 @@ def test_bench_command_prints_tsv(capsys):
     assert float(cells[4]) > 0 and float(cells[5]) > 0
 
 
+@pytest.mark.parametrize("duration", ["nan", "inf", "1e300"])
+def test_bench_duration_without_a_sample_count_is_one_error_line(capsys, duration):
+    code = dispatch(["bench", "--algo", "dct", "--duration", duration, "--runs", "1", "--warmup", "0"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: config: ")
+
+
 def test_bench_large_hop_boxcar_row(capsys):
     code = dispatch(
         [

@@ -187,6 +187,27 @@ def test_float32_roundtrip_bit_identity(tmp_path, rng):
     assert y.samples.tobytes() == x.samples.tobytes()
 
 
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+def test_write_wav_of_a_strided_view_writes_the_bytes_of_its_copy(tmp_path, rng, encoding):
+    base = rng.normal(size=(2, 1001)) * 0.4
+    view, copy = Waveform(base[1, ::-3], 22050), Waveform(base[1, ::-3].copy(), 22050)
+    assert not view.samples.flags.c_contiguous
+    write_wav(tmp_path / "view.wav", view, encoding=encoding)
+    write_wav(tmp_path / "copy.wav", copy, encoding=encoding)
+    assert (tmp_path / "view.wav").read_bytes() == (tmp_path / "copy.wav").read_bytes()
+
+
+def test_write_spec_of_fortran_ordered_data_writes_the_bytes_of_its_c_copy(tmp_path, rng):
+    spec = random_spectrogram(rng)
+    fortran = Spectrogram(
+        spec.kind, np.asfortranarray(spec.data), spec.config, spec.clip, spec.sample_rate, spec.original_length
+    )
+    assert not fortran.data.flags.c_contiguous
+    write_spec(tmp_path / "f.mvs", fortran)
+    write_spec(tmp_path / "c.mvs", spec)
+    assert (tmp_path / "f.mvs").read_bytes() == (tmp_path / "c.mvs").read_bytes()
+
+
 def test_unknown_encoding_rejected(tmp_path):
     with pytest.raises(InvalidInputError):
         write_wav(tmp_path / "a.wav", Waveform([0.0], 22050), encoding="pcm8")

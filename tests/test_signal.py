@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -119,6 +119,43 @@ def test_waveform_validation():
     assert len(x) == 2 and x.duration == pytest.approx(2 / 8000)
 
 
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: FrameConfig(float("nan"), 2), InvalidConfigError, "win_length must be an integer >= 2, got nan"),
+        (lambda: FrameConfig(float("inf"), 2), InvalidConfigError, "win_length must be an integer >= 2, got inf"),
+        (lambda: FrameConfig("4", 2), InvalidConfigError, "win_length must be an integer >= 2, got 4"),
+        (lambda: FrameConfig(4.5, 2), InvalidConfigError, "win_length must be an integer >= 2, got 4.5"),
+        (
+            lambda: FrameConfig(4, float("nan")), InvalidConfigError,
+            "hop_length must satisfy 1 <= hop <= win_length, got hop=nan win=4",
+        ),
+        (
+            lambda: FrameConfig(4, float("-inf")), InvalidConfigError,
+            "hop_length must satisfy 1 <= hop <= win_length, got hop=-inf win=4",
+        ),
+        (
+            lambda: make_window(WindowKind.hann(), float("inf")), InvalidConfigError,
+            "window length must be an integer >= 2, got inf",
+        ),
+        (
+            lambda: make_window(WindowKind.hann(), 2.5), InvalidConfigError,
+            "window length must be an integer >= 2, got 2.5",
+        ),
+        (lambda: Waveform([0.0], float("nan")), InvalidInputError, "sample_rate must be a positive integer, got nan"),
+        (lambda: Waveform([0.0], float("inf")), InvalidInputError, "sample_rate must be a positive integer, got inf"),
+        (lambda: Waveform([0.0], 0.5), InvalidInputError, "sample_rate must be a positive integer, got 0.5"),
+        (lambda: WindowKind("kaiser", "8"), InvalidConfigError, "kaiser beta must be >= 0, got 8"),
+        (lambda: WindowKind("kaiser", 8 + 0j), InvalidConfigError, "kaiser beta must be >= 0, got (8+0j)"),
+        (lambda: WindowKind("kaiser", float("inf")), InvalidConfigError, "kaiser beta must be >= 0, got inf"),
+    ],
+)
+def test_non_finite_or_non_real_numbers_are_config_or_input_errors(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_frame_matrix_row_width_checked():
     cfg = FrameConfig(4, 2, WindowKind.boxcar(), centered=False)
     with pytest.raises(InvalidInputError):
@@ -212,6 +249,10 @@ def framings(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(framings())
+@example((FrameConfig(512, 64, WindowKind.hann()), 3000, 1))
+@example((FrameConfig(1024, 256, WindowKind.hann()), 4000, 2))
+@example((FrameConfig(1024, 1022, WindowKind.boxcar()), 5000, 3))
+@example((FrameConfig(500, 64, WindowKind.kaiser(8.5), centered=False), 3001, 4))
 def test_framing_and_ola_are_bit_exact_to_oracles(framing):
     cfg, length, seed = framing
     rng = np.random.default_rng(seed)

@@ -42,6 +42,27 @@ def test_threshold_tau_outside_unit_interval_rejected(tau):
         ClipMode.threshold(tau)
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ClipMode("threshold", "0.1"), "threshold tau must lie in (0, 1), got 0.1"),
+        (lambda: ClipMode("threshold", 0.1 + 0j), "threshold tau must lie in (0, 1), got (0.1+0j)"),
+        (lambda: ClipMode("threshold", float("inf")), "threshold tau must lie in (0, 1), got inf"),
+    ],
+)
+def test_non_real_tau_is_config_error(build, message):
+    with pytest.raises(InvalidConfigError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.5, "22050"])
+def test_spectrogram_sample_rate_must_be_a_positive_integer(rate):
+    with pytest.raises(InvalidInputError) as exc:
+        Spectrogram("dct", np.zeros((3, 8)), FrameConfig(8, 2), ClipMode.none(), rate, 4)
+    assert str(exc.value) == f"sample_rate must be a positive integer, got {rate}"
+
+
 def test_clip_mode_parse():
     assert ClipMode.parse("none") == ClipMode.none()
     assert ClipMode.parse("zero") == ClipMode.zero()
