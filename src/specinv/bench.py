@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, MeasurementError, _finite, _whole
+from .errors import InvalidConfigError, InvalidInputError, MeasurementError, _count, _finite, _whole
 from .signal import FrameConfig, Waveform
 from .vocoder import ClipMode, analyze, synthesize
 
@@ -48,10 +48,8 @@ class BenchSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise InvalidConfigError("runs must be >= 1")
-        if self.warmup_runs < 0:
-            raise InvalidConfigError("warmup_runs must be >= 0")
+        object.__setattr__(self, "runs", _count("runs", self.runs, 1))
+        object.__setattr__(self, "warmup_runs", _count("warmup_runs", self.warmup_runs, 0))
         if self.clip_duration <= 0:
             raise InvalidConfigError("clip_duration must be positive")
         if not _finite(self.clip_duration):
@@ -64,8 +62,7 @@ class BenchSpec:
             raise InvalidConfigError(
                 f"unknown stage {self.stage!r}; expected one of {STAGES}"
             )
-        if self.workers < 1:
-            raise InvalidConfigError("workers must be >= 1")
+        object.__setattr__(self, "workers", _count("workers", self.workers, 1))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ matching builtin (``ValueError``/``RuntimeError``) so callers that only
 know the standard hierarchy still catch them.  ``_finite`` and ``_whole``
 are the one definition of a finite and of a whole number that the
 parameter checks share, so NaN, inf or a non-number fails the check with
-its own error instead of escaping from ``int()`` or ``np.isfinite``.
+its own error instead of escaping from ``int()`` or ``np.isfinite``;
+``_count`` is the check of a count such as ``workers`` or ``runs``.
 """
 import math
 import numbers
@@ -57,3 +58,16 @@ def _finite(value) -> bool:
 def _whole(value) -> bool:
     """True for a finite real number with no fractional part, such as 4 or 4.0."""
     return _finite(value) and int(value) == value
+
+
+def _count(name: str, value, low: int) -> int:
+    """``value`` as an int once it is a whole number >= ``low``, else an InvalidConfigError.
+
+    A real number below ``low``, -inf included, gets ``"<name> must be >=
+    <low>"``; NaN, inf, fractions and non-numbers are not whole numbers.
+    """
+    if isinstance(value, numbers.Real) and value < low:
+        raise InvalidConfigError(f"{name} must be >= {low}")
+    if not _whole(value):
+        raise InvalidConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)

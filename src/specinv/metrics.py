@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .signal import FrameConfig, Waveform, WindowKind
+from .signal import FrameConfig, Waveform, WindowKind, frame_signal
 from .transforms import dct2
-from .vocoder import analyze
+from .vocoder import KINDS, ClipMode, apply_clip
 
 __all__ = ["McdConfig", "snr_db", "mcd", "mel_filterbank"]
 
@@ -113,7 +113,8 @@ def mel_filterbank(
 
 def _cepstra(x: Waveform, cfg: McdConfig, fb: np.ndarray) -> np.ndarray:
     frame_cfg = FrameConfig(cfg.fft_win, cfg.fft_hop, WindowKind.hann(), centered=True)
-    mag = analyze(x, frame_cfg, "magnitude").data
+    # x is a checked Waveform; clip none is only analyze's one finite scan, for rfft overflow.
+    mag = apply_clip(KINDS["magnitude"].forward(frame_signal(x, frame_cfg).frames), ClipMode())
     mel = np.log(np.maximum(mag @ fb.T, LOG_FLOOR))
     return dct2(mel)[:, 1 : cfg.n_cepstra + 1]
 
@@ -121,7 +122,8 @@ def _cepstra(x: Waveform, cfg: McdConfig, fb: np.ndarray) -> np.ndarray:
 def mcd(reference: Waveform, estimate: Waveform, cfg: McdConfig = McdConfig()) -> float:
     """Mel-cepstral distance between two aligned waveforms (lower is better).
 
-    Pipeline: hann magnitude spectrogram -> unit-area mel filterbank ->
+    Pipeline: hann magnitude spectrogram (the ``magnitude`` kind's
+    transform of the framed signal) -> unit-area mel filterbank ->
     ``log(max(., 1e-10))`` -> orthonormal DCT-II over bands -> keep
     c1..c_{n_cepstra}.  Per-frame distance is
     ``(10/ln 10) * sqrt(2 * sum_i (c_i - chat_i)^2)`` and the result is the

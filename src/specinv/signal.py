@@ -263,39 +263,69 @@ def frame_signal(x: Waveform, config: FrameConfig) -> FrameMatrix:
     return FrameMatrix(frames * make_window(config.window, win), config, len(x), x.sample_rate)
 
 
-def _ola(rows: np.ndarray, hop: int, length: int) -> np.ndarray:
-    """Sum the ``(n, win)`` rows, row ``f`` starting at sample ``f*hop``, into ``length`` zeros.
+def _ola(out: np.ndarray, rows: np.ndarray, hop: int) -> None:
+    """Add the ``(n, win)`` rows, row ``f`` starting at sample ``f*hop``, into ``out`` in place.
 
-    ``length`` must be at least ``(n - 1)*hop + win``.  Column block ``k``
-    of every row (``rows[:, k*hop:(k+1)*hop]``) lands in a disjoint hop-wide
-    slot at ``(f + k)*hop``, so one in-place add places a whole block.
-    Blocks go in descending ``k``, so the sample at ``q*hop + r`` receives
-    frames ``q - k`` in ascending order, the order of a per-frame loop.
+    ``out`` must hold at least ``(n - 1)*hop + win + hop`` samples: the
+    last block's hop-wide slots may run up to ``hop - 1`` past the frames.
+    Column block ``k`` of every row (``rows[:, k*hop:(k+1)*hop]``) lands in
+    a disjoint hop-wide slot at ``(f + k)*hop``, so one in-place add places
+    a whole block.  Blocks go in descending ``k``, so the sample at
+    ``q*hop + r`` receives frames ``q - k`` in ascending order, the order
+    of a per-frame loop.
     """
     n, win = rows.shape
-    out = np.zeros(length + hop)  # the last block's hop-wide slots may run up to hop - 1 past length
     for k in reversed(range(-(-win // hop))):
         out[k * hop : (k + n) * hop].reshape(n, hop)[:, : win - k * hop] += rows[:, k * hop : (k + 1) * hop]
-    return out[:length]
+
+
+def _overlap_add(blocks, config: FrameConfig, original_length: int) -> np.ndarray:
+    """Normalized overlap-add of the frames ``blocks`` yields, in frame order, as samples.
+
+    The one synthesis engine: each block of rows is added into one
+    accumulator at its frame offset, so only a block of frames is ever
+    held, and blocks arriving in ascending order keep every sample's frames
+    in ascending order.  ``original_length`` fixes the frame count, which
+    the blocks must cover exactly.
+
+    The window sum is not built at full length.  Where all ``K =
+    ceil(win/hop)`` frames that can reach a sample exist (samples ``q*hop
+    + r`` with ``K - 1 <= q <= n - 1``), the sample sums the same window
+    values in the same order, so the sum repeats with period ``hop``.  One overlap-add of
+    ``min(n, 2K + 1)`` window rows gives the head before that region, one
+    period of it and the last ``win - hop`` samples; the accumulator is
+    divided by them in place, the period tiled over the middle.
+    """
+    win, hop = config.win_length, config.hop_length
+    n, pad, span = _geometry(config, original_length)
+    # Uncentered framing can leave a tail no frame covers; it stays +0.0, as 0 / OLA_EPS is.
+    acc = np.zeros(max(span, pad + original_length) + hop)
+    first = 0
+    for rows in blocks:
+        _ola(acc[first * hop :], rows, hop)
+        first += rows.shape[0]
+    k = -(-win // hop)
+    m = min(n, 2 * k + 1)
+    wsum = np.zeros((m - 1) * hop + win + hop)
+    _ola(wsum, np.broadcast_to(make_window(config.window, win), (m, win)), hop)
+    np.maximum(wsum, OLA_EPS, out=wsum)
+    head = min(k - 1, n) * hop  # fewer than k frames: no periodic middle, head and tail meet
+    acc[:head] /= wsum[:head]
+    acc[head : n * hop].reshape(-1, hop)[:] /= wsum[head : head + hop]
+    acc[n * hop : span] /= wsum[m * hop : (m - 1) * hop + win]
+    return acc[pad : pad + original_length]
 
 
 def overlap_add(frames: FrameMatrix) -> Waveform:
     """Reconstruct a waveform from frames by normalized overlap-add.
 
     Output sample ``y[n] = sum_f frames[f][n - f*hop] / max(sum_f w[n - f*hop],
-    OLA_EPS)``.  One accumulator builds both sums, so the window sum is the
-    overlap-add of the window, and it adds frames in ascending order, so the
-    result is bit-reproducible.  Centering pads are trimmed and the samples uncentered
-    framing dropped past its last full frame come back as zeros, so the
-    output has ``original_length`` samples.
+    OLA_EPS)``.  Frames are added in ascending order, so the result is
+    bit-reproducible, and the window sum is the overlap-add of the window.
+    Centering pads are trimmed and the samples uncentered framing dropped
+    past its last full frame come back as zeros, so the output has
+    ``original_length`` samples.  This is the single-block case of the
+    engine synthesis runs on.
     """
-    config = frames.config
-    hop = config.hop_length
-    n_out = frames.original_length
-    _, pad, span = _geometry(config, n_out)
-    # Uncentered framing can leave a tail no frame covers; it comes out as 0 / OLA_EPS = +0.0.
-    length = max(span, pad + n_out)
-    acc = _ola(frames.frames, hop, length)
-    wsum = _ola(np.broadcast_to(make_window(config.window, config.win_length), frames.frames.shape), hop, length)
-    y = acc[pad : pad + n_out] / np.maximum(wsum[pad : pad + n_out], OLA_EPS)
+    y = _overlap_add((frames.frames,), frames.config, frames.original_length)
     return Waveform(y, frames.sample_rate)

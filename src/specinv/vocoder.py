@@ -17,9 +17,9 @@ import numpy as np
 import scipy.fft
 
 from . import transforms
-from .errors import InvalidConfigError, InvalidInputError, UnsupportedKindError, _finite, _whole
+from .errors import InvalidConfigError, InvalidInputError, UnsupportedKindError, _count, _finite, _whole
 from .signal import (
-    FrameConfig, FrameMatrix, Waveform, _check_frame_count, frame_signal, overlap_add, parse_name_value,
+    FrameConfig, Waveform, _check_frame_count, _overlap_add, frame_signal, parse_name_value,
 )
 
 __all__ = [
@@ -59,6 +59,10 @@ KINDS = {
 }
 SPECTROGRAM_KINDS = tuple(KINDS)
 CLIP_MODES = ("none", "zero", "threshold")
+
+# Frames ``synthesize`` inverts and overlap-adds per step, so the frames it
+# holds at once stay cache-sized (2 MB at win 1024) instead of signal-sized.
+_BLOCK_FRAMES = 256
 
 
 def _kind(kind: str) -> Kind:
@@ -239,8 +243,7 @@ def analyze(
     """
     if not isinstance(clip, ClipMode):
         clip = ClipMode.parse(clip)
-    if workers < 1:
-        raise InvalidConfigError("workers must be >= 1")
+    workers = _count("workers", workers, 1)
     if len(x) == 0:
         raise InvalidInputError("cannot analyze an empty waveform")
     forward = _check_kind_rules(kind, config, clip).forward
@@ -253,9 +256,12 @@ def analyze(
 def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
     """Inverse pipeline: per-frame inverse transform, then overlap-add.
 
-    Output has ``spec.original_length`` samples at ``spec.sample_rate``.
-    Magnitude spectrograms cannot be inverted here -- that would require
-    the phase estimation this library exists to avoid.
+    Frames are inverted and added a block of ``_BLOCK_FRAMES`` at a time,
+    in frame order, so no whole-signal frame matrix is built and the bits
+    are those of ``overlap_add`` over all inverted frames.  Output has
+    ``spec.original_length`` samples at ``spec.sample_rate``.  Magnitude
+    spectrograms cannot be inverted here -- that would require the phase
+    estimation this library exists to avoid.
     """
     inverse = KINDS[spec.kind].inverse
     if inverse is None:
@@ -263,8 +269,7 @@ def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
             "magnitude spectrograms have no synthesis path (phase is gone); "
             "use real_fft, dct or packed_rfft"
         )
-    if workers < 1:
-        raise InvalidConfigError("workers must be >= 1")
-    frames = inverse(spec.data, workers=workers)
-    fm = FrameMatrix(frames, spec.config, spec.original_length, spec.sample_rate)
-    return overlap_add(fm)
+    workers = _count("workers", workers, 1)
+    data = spec.data
+    blocks = (inverse(data[i : i + _BLOCK_FRAMES], workers=workers) for i in range(0, len(data), _BLOCK_FRAMES))
+    return Waveform(_overlap_add(blocks, spec.config, spec.original_length), spec.sample_rate)

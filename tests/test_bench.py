@@ -128,6 +128,30 @@ def test_spec_duration_is_finite_and_rate_whole(field, value, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("field,low", [("runs", 1), ("warmup_runs", 0), ("workers", 1)])
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (float("nan"), "{field} must be a whole number, got nan"),
+        (float("inf"), "{field} must be a whole number, got inf"),
+        (1.5, "{field} must be a whole number, got 1.5"),
+        ("2", "{field} must be a whole number, got '2'"),
+        (float("-inf"), "{field} must be >= {low}"),
+    ],
+)
+def test_spec_counts_are_whole_numbers(field, low, value, message):
+    with pytest.raises(InvalidConfigError) as exc:
+        _spec(**{field: value})
+    assert str(exc.value) == message.format(field=field, low=low)
+
+
+def test_spec_whole_float_counts_become_ints():
+    spec = _spec(runs=2.0, warmup_runs=1.0, workers=1.0)
+    assert (spec.runs, spec.warmup_runs, spec.workers) == (2, 1, 1)
+    assert all(type(v) is int for v in (spec.runs, spec.warmup_runs, spec.workers))
+    assert run_bench(spec, clock=MockClock([0.0, 0.5, 1.0, 1.5])).mean_seconds == 0.5
+
+
 @pytest.mark.parametrize(
     "duration,rate,reason",
     [

@@ -97,6 +97,13 @@ def test_mcd_empty_input_rejected():
         mcd(empty, empty)
 
 
+def test_mcd_of_a_spectrum_beyond_float64_is_an_input_error():
+    # 1e308 is a finite sample, but its frames' rfft overflows to inf.
+    x = Waveform(np.full(4096, 1e308), 22050)
+    with pytest.raises(InvalidInputError, match="^cannot clip non-finite data$"):
+        mcd(x, x)
+
+
 def test_mcd_config_validation():
     with pytest.raises(InvalidConfigError):
         McdConfig(n_cepstra=23, n_mel_bands=23)

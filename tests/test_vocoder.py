@@ -1,16 +1,19 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import circular_even_part, oracle_frame_signal, oracle_rfft_packed
+from helpers import circular_even_part, oracle_frame_signal, oracle_overlap_add, oracle_rfft_packed
 
 from specinv.errors import InvalidConfigError, InvalidInputError, UnsupportedKindError
 from specinv.metrics import mcd, snr_db
-from specinv.signal import FrameConfig, Waveform, WindowKind, frame_signal
+from specinv.signal import FrameConfig, Waveform, WindowKind, _geometry, frame_signal
 from specinv.transforms import idft_from_real
-from specinv.vocoder import ClipMode, Spectrogram, analyze, apply_clip, expected_bins, synthesize
+from specinv.vocoder import (
+    _BLOCK_FRAMES, KINDS, ClipMode, Spectrogram, analyze, apply_clip, expected_bins, synthesize,
+)
 
 
 def _roundtrip(x, kind, win, hop, clip=ClipMode.none(), window=WindowKind.hann()):
@@ -293,3 +296,96 @@ def test_workers_parameter_gives_identical_results(rng):
     a = analyze(x, cfg, "dct", workers=1)
     b = analyze(x, cfg, "dct", workers=2)
     assert a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "workers,message",
+    [
+        (0, "workers must be >= 1"),
+        (0.5, "workers must be >= 1"),
+        (float("-inf"), "workers must be >= 1"),
+        (float("nan"), "workers must be a whole number, got nan"),
+        (float("inf"), "workers must be a whole number, got inf"),
+        (1.5, "workers must be a whole number, got 1.5"),
+        ("2", "workers must be a whole number, got '2'"),
+    ],
+)
+def test_workers_must_be_a_whole_number_at_least_one(rng, workers, message):
+    x = Waveform(rng.normal(size=300), 22050)
+    spec = analyze(x, FrameConfig(32, 8), "dct")
+    with pytest.raises(InvalidConfigError) as exc:
+        analyze(x, spec.config, "dct", workers=workers)
+    assert str(exc.value) == message
+    with pytest.raises(InvalidConfigError) as exc:
+        synthesize(spec, workers=workers)
+    assert str(exc.value) == message
+
+
+def test_whole_float_workers_act_as_the_integer(rng):
+    x = Waveform(rng.normal(size=3000), 22050)
+    spec = analyze(x, FrameConfig(64, 16), "packed_rfft", workers=2.0)
+    assert spec.data.tobytes() == analyze(x, spec.config, "packed_rfft").data.tobytes()
+    assert synthesize(spec, workers=2.0).samples.tobytes() == synthesize(spec).samples.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Blocked synthesis
+# ---------------------------------------------------------------------------
+
+
+def _length_with(cfg, n_frames):
+    """A signal length that ``cfg`` frames into exactly ``n_frames`` frames, the last hop partial."""
+    win, hop = cfg.win_length, cfg.hop_length
+    if cfg.centered:
+        length = (n_frames - 1) * hop + win - 2 * (win // 2) - hop // 2
+    else:
+        length = (n_frames - 1) * hop + win + hop // 2
+    assert _geometry(cfg, length)[0] == n_frames
+    return length
+
+
+def _assert_synthesis_matches_oracle(rng, kind, cfg, n_frames):
+    length = _length_with(cfg, n_frames)
+    data = rng.normal(size=(n_frames, expected_bins(kind, cfg.win_length)))
+    spec = Spectrogram(kind, data, cfg, ClipMode.none(), 16000, length)
+    expected = oracle_overlap_add(KINDS[kind].inverse(data), cfg, length)
+    assert synthesize(spec).samples.tobytes() == expected.tobytes(), n_frames
+
+
+WINDOWS = [WindowKind.hann(), WindowKind.boxcar(), WindowKind.kaiser(8.5)]
+
+
+@pytest.mark.parametrize("kind", ["dct", "packed_rfft", "real_fft"])
+@pytest.mark.parametrize("window", WINDOWS, ids=lambda w: w.label())
+@pytest.mark.parametrize("centered", [True, False])
+def test_blocked_synthesis_is_bit_exact_across_block_edges(rng, kind, window, centered):
+    # win % hop != 0, so the hop-periodic window sum has a partial last column block.
+    cfg = FrameConfig(36, 8, window, centered=centered)
+    for n_frames in (_BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1):
+        _assert_synthesis_matches_oracle(rng, kind, cfg, n_frames)
+
+
+@pytest.mark.parametrize("kind", ["dct", "packed_rfft", "real_fft"])
+@pytest.mark.parametrize("window", WINDOWS, ids=lambda w: w.label())
+@pytest.mark.parametrize("centered", [True, False])
+def test_short_synthesis_takes_the_window_sum_in_one_run(rng, kind, window, centered):
+    # ceil(36/8) = 5: below 5 frames no sample has all its frames, up to 11 the
+    # window-sum run overlap-adds every window row, and from 12 on it is cut short.
+    cfg = FrameConfig(36, 8, window, centered=centered)
+    for n_frames in range(2, 14):
+        _assert_synthesis_matches_oracle(rng, kind, cfg, n_frames)
+
+
+@pytest.mark.parametrize("kind", ["dct", "packed_rfft"])
+def test_synthesize_holds_a_block_of_frames_not_the_frame_matrix(kind):
+    x = Waveform(np.random.default_rng(5).normal(size=5 * 22050) * 0.3, 22050)
+    spec = analyze(x, FrameConfig(512, 64), kind)
+    synthesize(spec)
+    tracemalloc.start()
+    try:
+        synthesize(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A whole inverted frame matrix alone would be spec.data.nbytes.
+    assert peak < spec.data.nbytes / 2
