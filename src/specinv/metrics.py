@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .signal import FrameConfig, Waveform, WindowKind, frame_signal
+from .signal import FrameConfig, Waveform, WindowKind
 from .transforms import dct2
-from .vocoder import KINDS, ClipMode, apply_clip
+from .vocoder import ClipMode, _spectrum
 
 __all__ = ["McdConfig", "snr_db", "mcd", "mel_filterbank"]
 
@@ -114,7 +114,8 @@ def mel_filterbank(
 def _cepstra(x: Waveform, cfg: McdConfig, fb: np.ndarray) -> np.ndarray:
     frame_cfg = FrameConfig(cfg.fft_win, cfg.fft_hop, WindowKind.hann(), centered=True)
     # x is a checked Waveform; clip none is only analyze's one finite scan, for rfft overflow.
-    mag = apply_clip(KINDS["magnitude"].forward(frame_signal(x, frame_cfg).frames), ClipMode())
+    # The product stays one whole matmul: blocking it changes the BLAS bits.
+    mag = _spectrum(x, frame_cfg, "magnitude", ClipMode(), 1)
     mel = np.log(np.maximum(mag @ fb.T, LOG_FLOOR))
     return dct2(mel)[:, 1 : cfg.n_cepstra + 1]
 

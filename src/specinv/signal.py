@@ -244,6 +244,27 @@ def _check_frame_count(n_frames: int, config: FrameConfig, original_length: int)
         )
 
 
+def _frame_blocks(x: Waveform, config: FrameConfig, block: int, out: np.ndarray | None = None):
+    """Yield ``(i, frames)``: frames ``i .. i + len(frames) - 1`` of ``x``, windowed, ``block`` at a time.
+
+    The one framing engine, on the rule :func:`frame_signal` documents.  The
+    signal is padded once; each block is windowed from a strided view of it
+    straight into ``out[i : i + block]`` when ``out`` (one row per frame) is
+    given, else into one ``(block, win)`` buffer that every block reuses.
+    """
+    win = config.win_length
+    n, pad, span = _geometry(config, len(x))
+    kept = x.samples[: span - pad]
+    padded = np.zeros(span)
+    padded[pad : pad + kept.shape[0]] = kept
+    view = np.lib.stride_tricks.sliding_window_view(padded, win)[:: config.hop_length]
+    window = make_window(config.window, win)
+    buf = np.empty((min(block, n), win)) if out is None else None
+    for i in range(0, n, block):
+        rows = view[i : i + block]
+        yield i, np.multiply(rows, window, out=buf[: len(rows)] if out is None else out[i : i + block])
+
+
 def frame_signal(x: Waveform, config: FrameConfig) -> FrameMatrix:
     """Slice ``x`` into hopped frames and apply the analysis window.
 
@@ -252,15 +273,11 @@ def frame_signal(x: Waveform, config: FrameConfig) -> FrameMatrix:
     each side and a trailing zero-padded frame is added if a partial hop
     remains, so every padded sample is covered by at least one frame.
     Uncentered framing keeps full frames only and requires the signal to be
-    at least one window long.
+    at least one window long.  This is the single-block case of the engine
+    analysis runs on.
     """
-    win = config.win_length
-    _, pad, span = _geometry(config, len(x))
-    kept = x.samples[: span - pad]
-    padded = np.zeros(span)
-    padded[pad : pad + kept.shape[0]] = kept
-    frames = np.lib.stride_tricks.sliding_window_view(padded, win)[:: config.hop_length]
-    return FrameMatrix(frames * make_window(config.window, win), config, len(x), x.sample_rate)
+    ((_, frames),) = _frame_blocks(x, config, _geometry(config, len(x))[0])
+    return FrameMatrix(frames, config, len(x), x.sample_rate)
 
 
 def _ola(out: np.ndarray, rows: np.ndarray, hop: int) -> None:

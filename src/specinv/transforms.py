@@ -10,6 +10,17 @@ Every function accepts a single frame (1-D) or a batch of frames (2-D,
 one frame per row) and transforms along the last axis.  ``workers`` is
 forwarded to scipy's pocketfft backend and only matters for batches.
 
+Each forward transform is a private kernel ``_name(a, out, workers)``
+that writes the transform of ``a`` into ``out``, where ``out`` may be
+``a`` itself; the public function is that kernel on a fresh output.
+Analysis runs the kernels in place on blocks of its spectrogram rows:
+dct2 and rfft_packed let pocketfft overwrite its input, and the real-part
+pair is one half-spectrum real FFT whose real parts are written back and
+mirrored, ``Re X_k = Re X_{N-k}``.  That is how pocketfft computes the
+full DFT of real input (r2c, then a conjugate fill), so the bits are
+those of ``fft(a).real``, and with ``norm="forward"`` those of
+``ifft(a).real``.
+
 The packed layout stores the non-redundant half spectrum of a length-N
 real frame (N even) as::
 
@@ -56,6 +67,32 @@ def _require_even(n: int, op: str) -> None:
         raise InvalidConfigError(f"{op} requires an even frame length, got {n}")
 
 
+def _real_dft(a: np.ndarray, out: np.ndarray, workers: int, norm: str | None = None) -> np.ndarray:
+    """Real parts of the two-sided DFT of ``a`` (scaled by ``norm``), written into ``out``."""
+    n = a.shape[-1]
+    half = scipy.fft.rfft(a, axis=-1, norm=norm, workers=workers).real
+    out[..., : n // 2 + 1] = half
+    out[..., n // 2 + 1 :] = half[..., (n - 1) // 2 : 0 : -1]
+    return out
+
+
+def _dct2(a: np.ndarray, out: np.ndarray, workers: int) -> np.ndarray:
+    """:func:`dct2` of ``a``, written into ``out`` and transformed there in place."""
+    if out is not a:
+        out[...] = a
+    scipy.fft.dct(out, type=2, norm="ortho", axis=-1, workers=workers, overwrite_x=True)
+    return out
+
+
+def _rfft_packed(a: np.ndarray, out: np.ndarray, workers: int) -> np.ndarray:
+    """:func:`rfft_packed` of ``a``, written into ``out`` and transformed there in place."""
+    if out is not a:
+        out[...] = a
+    with scipy.fft.set_workers(workers):
+        scipy.fftpack.rfft(out, axis=-1, overwrite_x=True)
+    return out
+
+
 def dft_real_part(frame, workers: int = 1) -> np.ndarray:
     """Real parts of the two-sided DFT, ``Re(X_k)`` for k = 0..N-1.
 
@@ -64,16 +101,18 @@ def dft_real_part(frame, workers: int = 1) -> np.ndarray:
     lossy.
     """
     a = _as_frames(frame, "dft_real_part")
-    return scipy.fft.fft(a, axis=-1, workers=workers).real
+    return _real_dft(a, np.empty_like(a), workers)
 
 
 def idft_from_real(coeffs, workers: int = 1) -> np.ndarray:
     """Real part of the inverse DFT of a purely real spectrum.
 
     Equals ``(x[n] + x[(-n) mod N]) / 2`` when fed ``dft_real_part(x)``.
+    For a real spectrum that real part is the forward transform's, scaled
+    by 1/N.
     """
     a = _as_frames(coeffs, "idft_from_real")
-    return scipy.fft.ifft(a, axis=-1, workers=workers).real
+    return _real_dft(a, np.empty_like(a), workers, norm="forward")
 
 
 def dct2(frame, workers: int = 1) -> np.ndarray:
@@ -84,7 +123,7 @@ def dct2(frame, workers: int = 1) -> np.ndarray:
     the l2 norm.
     """
     a = _as_frames(frame, "dct2")
-    return scipy.fft.dct(a, type=2, norm="ortho", axis=-1, workers=workers)
+    return _dct2(a, np.empty_like(a), workers)
 
 
 def dct3(coeffs, workers: int = 1) -> np.ndarray:
@@ -101,8 +140,7 @@ def rfft_packed(frame, workers: int = 1) -> np.ndarray:
     """
     a = _as_frames(frame, "rfft_packed")
     _require_even(a.shape[-1], "rfft_packed")
-    with scipy.fft.set_workers(workers):
-        return scipy.fftpack.rfft(a, axis=-1)
+    return _rfft_packed(a, np.empty_like(a), workers)
 
 
 def irfft_packed(packed, workers: int = 1) -> np.ndarray:

@@ -19,7 +19,7 @@ import scipy.fft
 from . import transforms
 from .errors import InvalidConfigError, InvalidInputError, UnsupportedKindError, _count, _finite, _whole
 from .signal import (
-    FrameConfig, Waveform, _check_frame_count, _overlap_add, frame_signal, parse_name_value,
+    FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _overlap_add, parse_name_value,
 )
 
 __all__ = [
@@ -34,15 +34,16 @@ __all__ = [
 ]
 
 
-def _magnitude(frames, workers: int = 1) -> np.ndarray:
-    return np.abs(scipy.fft.rfft(frames, axis=-1, workers=workers))
+def _magnitude(frames: np.ndarray, out: np.ndarray, workers: int) -> np.ndarray:
+    return np.abs(scipy.fft.rfft(frames, axis=-1, workers=workers), out=out)
 
 
 class Kind(NamedTuple):
     """Everything that differs between spectrogram kinds."""
 
     algo: str  # the CLI ``--algo`` name
-    forward: Callable[..., np.ndarray]
+    # (frames, out, workers): writes the transform of the frames into out, which may be frames
+    forward: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     inverse: Callable[..., np.ndarray] | None  # None: no synthesis path
     half_spectrum: bool = False  # win_length // 2 + 1 bins instead of win_length
     even_window: bool = False  # win_length must be even
@@ -52,16 +53,16 @@ class Kind(NamedTuple):
 # A kind's position here, like a clip mode's in CLIP_MODES, is its MVS1
 # header code (see io.py): append new entries, never reorder.
 KINDS = {
-    "real_fft": Kind("fft-real", transforms.dft_real_part, transforms.idft_from_real),
-    "dct": Kind("dct", transforms.dct2, transforms.dct3),
-    "packed_rfft": Kind("prft", transforms.rfft_packed, transforms.irfft_packed, even_window=True),
+    "real_fft": Kind("fft-real", transforms._real_dft, transforms.idft_from_real),
+    "dct": Kind("dct", transforms._dct2, transforms.dct3),
+    "packed_rfft": Kind("prft", transforms._rfft_packed, transforms.irfft_packed, even_window=True),
     "magnitude": Kind("magnitude", _magnitude, None, half_spectrum=True, unsigned=True),
 }
 SPECTROGRAM_KINDS = tuple(KINDS)
 CLIP_MODES = ("none", "zero", "threshold")
 
-# Frames ``synthesize`` inverts and overlap-adds per step, so the frames it
-# holds at once stay cache-sized (2 MB at win 1024) instead of signal-sized.
+# Frames ``analyze`` transforms and ``synthesize`` inverts per step, so the
+# frames each works on at once stay cache-sized (2 MB at win 1024).
 _BLOCK_FRAMES = 256
 
 
@@ -209,13 +210,35 @@ def apply_clip(data, mode: ClipMode) -> np.ndarray:
     if not isinstance(mode, ClipMode):
         mode = ClipMode.parse(mode)
     a = np.asarray(data, dtype=np.float64)
+    return _clip(a if mode.mode == "none" else a.copy(), mode)
+
+
+def _clip(a: np.ndarray, mode: ClipMode) -> np.ndarray:
+    """:func:`apply_clip` of ``a``, in place."""
     if not np.isfinite(a).all():
         raise InvalidInputError("cannot clip non-finite data")
-    if mode.mode == "none":
-        return a
     if mode.mode == "zero":
-        return np.maximum(a, 0.0)
-    return np.where(a > mode.tau, a, 0.0)
+        np.maximum(a, 0.0, out=a)
+    elif mode.mode == "threshold":
+        np.copyto(a, 0.0, where=a <= mode.tau)
+    return a
+
+
+def _spectrum(x: Waveform, config: FrameConfig, kind: str, clip: ClipMode, workers: int) -> np.ndarray:
+    """The clipped ``kind`` spectrogram data of ``x``, built ``_BLOCK_FRAMES`` frames at a time.
+
+    Each block is windowed straight into its rows of the one output array
+    (into a reused frame buffer when the kind has fewer bins than the
+    window), transformed there and clipped while it is still in cache, so
+    no whole-signal frame matrix or transform output is built.  Rows are
+    transformed and clipped independently, so the bits are those of the
+    whole-matrix transform and clip.
+    """
+    row = KINDS[kind]
+    data = np.empty((_geometry(config, len(x))[0], expected_bins(kind, config.win_length)))
+    for i, frames in _frame_blocks(x, config, _BLOCK_FRAMES, None if row.half_spectrum else data):
+        _clip(row.forward(frames, data[i : i + len(frames)], workers), clip)
+    return data
 
 
 def analyze(
@@ -226,6 +249,11 @@ def analyze(
     workers: int = 1,
 ) -> Spectrogram:
     """Forward pipeline: frame + window, per-frame transform, optional clip.
+
+    Frames are windowed, transformed and clipped a block of
+    ``_BLOCK_FRAMES`` at a time, in place in the spectrogram's rows, and
+    the bits are those of the whole-matrix pipeline: ``frame_signal``, the
+    kind's public transform of all frames, then ``apply_clip``.
 
     Parameters
     ----------
@@ -246,11 +274,8 @@ def analyze(
     workers = _count("workers", workers, 1)
     if len(x) == 0:
         raise InvalidInputError("cannot analyze an empty waveform")
-    forward = _check_kind_rules(kind, config, clip).forward
-
-    fm = frame_signal(x, config)
-    data = apply_clip(forward(fm.frames, workers=workers), clip)
-    return Spectrogram(kind, data, config, clip, x.sample_rate, fm.original_length)
+    _check_kind_rules(kind, config, clip)
+    return Spectrogram(kind, _spectrum(x, config, kind, clip, workers), config, clip, x.sample_rate, len(x))
 
 
 def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:

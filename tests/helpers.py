@@ -11,10 +11,12 @@ import struct
 import tempfile
 
 import numpy as np
+import scipy.fft
 
 from specinv.io import write_spec
 from specinv.signal import OLA_EPS, FrameConfig, Waveform, WindowKind, make_window
-from specinv.vocoder import ClipMode, analyze
+from specinv.transforms import dct2, dft_real_part, rfft_packed
+from specinv.vocoder import ClipMode, analyze, apply_clip
 
 # ---------------------------------------------------------------------------
 # O(N^2) transform oracles
@@ -153,6 +155,21 @@ def oracle_overlap_add(frames, config: FrameConfig, original_length):
         y = y[win // 2 :]
     y = y[:original_length]
     return np.concatenate([y, np.zeros(original_length - y.shape[0])])
+
+
+# Each kind's out-of-place transform of a whole frame matrix
+PUBLIC_FORWARD = {
+    "real_fft": dft_real_part,
+    "dct": dct2,
+    "packed_rfft": rfft_packed,
+    "magnitude": lambda frames, workers: np.abs(scipy.fft.rfft(frames, axis=-1, workers=workers)),
+}
+
+
+def oracle_analyze(x: Waveform, config: FrameConfig, kind, clip: ClipMode, workers=1):
+    """Spectrogram data as one whole-matrix pass: every frame (framed by a
+    Python loop), one public transform of them all, one clip."""
+    return apply_clip(PUBLIC_FORWARD[kind](oracle_frame_signal(x, config), workers=workers), clip)
 
 
 # ---------------------------------------------------------------------------

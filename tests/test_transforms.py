@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.fftpack
 from numpy.testing import assert_allclose
 
 from helpers import (
+    PUBLIC_FORWARD,
     circular_even_part,
     oracle_dct2,
     oracle_dct3,
@@ -14,7 +16,8 @@ from helpers import (
 )
 
 from specinv.errors import InvalidConfigError, InvalidInputError
-from specinv.transforms import dct2, dct3, dft_real_part, idft_from_real, irfft_packed, rfft_packed
+from specinv.transforms import _real_dft, dct2, dct3, dft_real_part, idft_from_real, irfft_packed, rfft_packed
+from specinv.vocoder import KINDS
 
 FORWARD_ORACLES = [
     (dft_real_part, oracle_dft_real_part, False),
@@ -189,3 +192,39 @@ def test_batch_rows_match_single_frame_calls(rng):
         batch = op(frames)
         rows = np.array([op(f) for f in frames])
         assert_allclose(batch, rows, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# In-place kernels
+# ---------------------------------------------------------------------------
+
+KERNEL_SHAPES = [(rows, n) for rows in (1, 7, 256, 333) for n in (2, 3, 4, 5, 33, 64, 69, 128, 1024)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "kind,rows,n", [(k, r, n) for k in KINDS for r, n in KERNEL_SHAPES if not (KINDS[k].even_window and n % 2)]
+)
+def test_kernels_in_place_and_out_of_place_equal_the_public_transform(rng, kind, rows, n):
+    frames = rng.normal(size=(rows, n))
+    want = PUBLIC_FORWARD[kind](frames, workers=1)
+    kernel = KINDS[kind].forward
+    assert np.array_equal(_bits(kernel(frames, np.empty_like(want), 1)), _bits(want))
+    if not KINDS[kind].half_spectrum:
+        a = frames.copy()
+        assert kernel(a, a, 1) is a
+        assert np.array_equal(_bits(a), _bits(want))
+
+
+@pytest.mark.parametrize("rows,n", KERNEL_SHAPES)
+def test_public_transforms_keep_the_bits_of_scipys_out_of_place_calls(rng, rows, n):
+    a = rng.normal(size=(rows, n))
+    assert np.array_equal(_bits(dft_real_part(a)), _bits(scipy.fft.fft(a).real))
+    assert np.array_equal(_bits(idft_from_real(a)), _bits(scipy.fft.ifft(a).real))
+    assert np.array_equal(_bits(idft_from_real(a[0])), _bits(scipy.fft.ifft(a[0]).real))
+    assert np.array_equal(_bits(dct2(a)), _bits(scipy.fft.dct(a, type=2, norm="ortho")))
+    want = scipy.fft.ifft(a, workers=2).real
+    assert np.array_equal(_bits(_real_dft(a, a, 2, norm="forward")), _bits(want))

@@ -3,16 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import circular_even_part, oracle_frame_signal, oracle_overlap_add, oracle_rfft_packed
+from helpers import (
+    circular_even_part, oracle_analyze, oracle_frame_signal, oracle_overlap_add, oracle_rfft_packed,
+)
 
 from specinv.errors import InvalidConfigError, InvalidInputError, UnsupportedKindError
 from specinv.metrics import mcd, snr_db
 from specinv.signal import FrameConfig, Waveform, WindowKind, _geometry, frame_signal
 from specinv.transforms import idft_from_real
 from specinv.vocoder import (
-    _BLOCK_FRAMES, KINDS, ClipMode, Spectrogram, analyze, apply_clip, expected_bins, synthesize,
+    _BLOCK_FRAMES, KINDS, SPECTROGRAM_KINDS, ClipMode, Spectrogram, analyze, apply_clip, expected_bins,
+    synthesize,
 )
 
 
@@ -162,7 +167,7 @@ def test_kind_rules_hold_in_analyze_and_spectrogram(rng, monkeypatch, kind, win,
     def no_framing(*args):
         raise AssertionError("a rejected config must not be framed")
 
-    monkeypatch.setattr("specinv.vocoder.frame_signal", no_framing)
+    monkeypatch.setattr("specinv.vocoder._frame_blocks", no_framing)
     with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
         analyze(x, cfg, kind, clip)
     with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
@@ -389,3 +394,77 @@ def test_synthesize_holds_a_block_of_frames_not_the_frame_matrix(kind):
         tracemalloc.stop()
     # A whole inverted frame matrix alone would be spec.data.nbytes.
     assert peak < spec.data.nbytes / 2
+
+
+# ---------------------------------------------------------------------------
+# Blocked analysis
+# ---------------------------------------------------------------------------
+
+CLIPS = [ClipMode.none(), ClipMode.zero(), ClipMode.threshold(0.05)]
+KIND_CLIPS = [(k, c) for k in SPECTROGRAM_KINDS for c in CLIPS if not KINDS[k].unsigned or c.mode == "none"]
+
+
+def _assert_analysis_matches_oracle(x, cfg, kind, clip, workers):
+    got = analyze(x, cfg, kind, clip, workers=workers).data
+    want = oracle_analyze(x, cfg, kind, clip, workers)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # the sign of zero counts
+
+
+@pytest.mark.parametrize("kind,clip", KIND_CLIPS, ids=lambda v: v if isinstance(v, str) else v.label())
+@pytest.mark.parametrize("window", WINDOWS, ids=lambda w: w.label())
+@pytest.mark.parametrize("centered", [True, False])
+def test_blocked_analysis_is_bit_exact_across_block_edges(rng, kind, clip, window, centered):
+    cfg = FrameConfig(36, 8, window, centered=centered)
+    # A centered even window frames at least 2 frames: its one-sample signal already spills a hop.
+    for n_frames in (2 if centered else 1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1):
+        x = Waveform(rng.normal(size=max(1, _length_with(cfg, n_frames))) * 0.3, 16000)
+        for workers in (1, 2):
+            _assert_analysis_matches_oracle(x, cfg, kind, clip, workers)
+
+
+@st.composite
+def analyses(draw):
+    """A kind and clip, a frame config, a signal length, workers and a seed."""
+    kind, clip = draw(st.sampled_from(KIND_CLIPS))
+    win = draw(st.integers(1, 24)) * 2 if KINDS[kind].even_window else draw(st.integers(2, 48))
+    cfg = FrameConfig(win, draw(st.integers(1, win)), draw(st.sampled_from(WINDOWS)), draw(st.booleans()))
+    n_frames = draw(st.sampled_from([1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1]))
+    length = (n_frames - 1) * cfg.hop_length + (win % 2 if cfg.centered else win) + draw(st.integers(0, cfg.hop_length - 1))
+    return kind, clip, cfg, max(1, length), draw(st.sampled_from([1, 2])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(analyses())
+@example(("dct", ClipMode.zero(), FrameConfig(35, 5, WindowKind.hann()), 1, 1, 0))  # one centered frame
+@example(("real_fft", ClipMode.none(), FrameConfig(512, 64, WindowKind.hann()), 3000, 2, 1))
+@example(("packed_rfft", ClipMode.threshold(0.05), FrameConfig(1024, 1022, WindowKind.boxcar()), 4 * 1022 * 65, 1, 2))
+@example(("magnitude", ClipMode.none(), FrameConfig(64, 16, WindowKind.kaiser(8.5), centered=False), 64 + 16 * 256, 2, 3))
+def test_analysis_is_bit_exact_to_whole_matrix_oracle(analysis):
+    kind, clip, cfg, length, workers, seed = analysis
+    x = Waveform(np.random.default_rng(seed).normal(size=length) * 0.3, 16000)
+    _assert_analysis_matches_oracle(x, cfg, kind, clip, workers)
+
+
+@pytest.mark.parametrize("kind", ["packed_rfft", "real_fft"])
+def test_analyze_holds_the_spectrogram_and_a_few_blocks(kind):
+    x = Waveform(np.random.default_rng(5).normal(size=5 * 22050) * 0.3, 22050)
+    cfg = FrameConfig(512, 64)
+    analyze(x, cfg, kind)
+    tracemalloc.start()
+    try:
+        spec = analyze(x, cfg, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A whole-signal frame matrix, or a complex spectrum of it, alone is spec.data.nbytes or more.
+    block = _BLOCK_FRAMES * cfg.win_length * 8
+    assert peak <= spec.data.nbytes + 4 * block
+
+
+@pytest.mark.parametrize("kind", SPECTROGRAM_KINDS)
+def test_analyze_of_a_spectrum_beyond_float64_is_an_input_error(kind):
+    # 1e308 is a finite sample, but its frames' transform overflows to inf.
+    x = Waveform(np.full(4096, 1e308), 22050)
+    with pytest.raises(InvalidInputError, match="^cannot clip non-finite data$"):
+        analyze(x, FrameConfig(256, 64), kind)
