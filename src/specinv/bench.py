@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, MeasurementError, _count, _finite, _whole
 from .signal import FrameConfig, Waveform
-from .vocoder import ClipMode, analyze, synthesize
+from .vocoder import ClipMode, _roundtrip, analyze, synthesize
 
 __all__ = [
     "BenchSpec",
@@ -145,10 +145,7 @@ def run_bench(spec: BenchSpec, x: Waveform | None = None, clock=time.perf_counte
     else:
 
         def stage():
-            return synthesize(
-                analyze(x, spec.config, spec.kind, spec.clip, workers=spec.workers),
-                workers=spec.workers,
-            )
+            return _roundtrip(x, spec.config, spec.kind, spec.clip, spec.workers)
 
     for _ in range(spec.warmup_runs):
         stage()

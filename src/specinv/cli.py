@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedKindError,
 )
 from .signal import FrameConfig, WindowKind
-from .vocoder import KINDS, ClipMode, analyze, synthesize
+from .vocoder import KINDS, ClipMode, _check_analysis, _roundtrip, _spectrum, _synthesis
 
 ALGO_KINDS = {k.algo: kind for kind, k in KINDS.items()}
 STAGE_NAMES = dict(zip(("synth", "analyze", "roundtrip"), bench_mod.STAGES))
@@ -199,18 +199,23 @@ def _print_quality(ref, est, mcd_config=metrics_mod.McdConfig()) -> None:
     print(f"mcd\t{metrics_mod.mcd(ref, est, mcd_config)!r}")
 
 
+# analyze, synthesize and roundtrip stream the spectrogram a block at a time
+# and never hold it whole; see the specinv.io docstring.
 def _cmd_analyze(args) -> int:
     config = _frame_config(args)
     clip = ClipMode.parse(args.clip)
+    kind = ALGO_KINDS[args.algo]
     x = io_mod.read_wav(args.input)
-    spec = analyze(x, config, ALGO_KINDS[args.algo], clip, workers=args.threads)
-    io_mod.write_spec(args.output, spec)
+    _, workers = _check_analysis(x, config, kind, clip, args.threads)
+    blocks = _spectrum(x, config, kind, clip, workers)
+    io_mod._write_spec(args.output, kind, config, clip, x.sample_rate, len(x), blocks)
     return 0
 
 
 def _cmd_synthesize(args) -> int:
-    spec = io_mod.read_spec(args.input)
-    y = synthesize(spec, workers=args.threads)
+    with open(args.input, "rb") as fh:
+        head, config, _, blocks = io_mod._read_spec(fh)
+        y = _synthesis(head["kind"], blocks(), config, head["original_length"], head["sample_rate"], args.threads)
     io_mod.write_wav(args.output, y, encoding=args.encoding)
     return 0
 
@@ -219,8 +224,7 @@ def _cmd_roundtrip(args) -> int:
     config = _frame_config(args)
     clip = ClipMode.parse(args.clip)
     x = io_mod.read_wav(args.input)
-    spec = analyze(x, config, ALGO_KINDS[args.algo], clip, workers=args.threads)
-    y = synthesize(spec, workers=args.threads)
+    y = _roundtrip(x, config, ALGO_KINDS[args.algo], clip, args.threads)
     io_mod.write_wav(args.output, y, encoding=args.encoding)
     if args.report:
         _print_quality(x, y)

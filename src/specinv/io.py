@@ -28,19 +28,35 @@ header's win_length, hop_length and centered flag (see frame_signal);
 read_spec rejects any other value as a FormatError before anything is
 sized by original_length.  The per-kind rules of vocoder.KINDS hold too:
 packed_rfft needs an even win_length and magnitude needs clip none.
-spec_info reads through the same path as read_spec, so ``specinv info``
-validates the whole file, payload included, the way ``synthesize`` does.
-A file write_spec writes always reads back: a tau or beta that is invalid
-once rounded to float32, a payload value beyond float32 range or a header
-value too wide for its field raises InvalidInputError before any byte is
-written.
+
+There is one MVS1 reader and one MVS1 writer, and both move the payload a
+block of _BLOCK_FRAMES frames at a time.  The reader checks the header,
+the payload size and the spectrogram metadata before it sizes anything,
+then reads each block into one reused float32 buffer, widens it to
+float64 and checks it with the value rules Spectrogram uses.  The writer
+checks the whole header, which the metadata alone fixes, then casts each
+block to float32 while it is still in cache and writes it.  read_spec and
+write_spec are their whole-array case: read_spec lands the blocks in one
+preallocated array, scanned once, and write_spec writes row blocks of
+spec.data with no whole float32 copy.  The CLI streams through them
+without holding a whole spectrogram: ``analyze`` writes the analysis
+blocks, ``synthesize`` inverts the blocks it reads, and ``info``
+(spec_info) checks every block, so it validates the whole file, payload
+included, the way ``synthesize`` does.  A file write_spec writes always
+reads back: a tau or beta that is invalid once rounded to float32, a
+payload value beyond float32 range or a header value too wide for its
+field raises InvalidInputError, and no file is left behind.  WAV files
+are still read and written whole.
 
 Writes go through a temp file in the destination directory followed by an
-atomic rename, so a failed run never leaves a partial file.  Concurrent
-writes to one path are undefined.
+atomic rename, so a failed run, even one that fails partway through the
+payload, never leaves a partial file.  Concurrent writes to one path are
+undefined.
 """
 from __future__ import annotations
 
+import io
+import itertools
 import os
 import struct
 import tempfile
@@ -49,8 +65,11 @@ import warnings
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, UnsupportedCodecError
-from .signal import WINDOW_NAMES, FrameConfig, Waveform, WindowKind
-from .vocoder import CLIP_MODES, SPECTROGRAM_KINDS, ClipMode, Spectrogram
+from .signal import WINDOW_NAMES, FrameConfig, Waveform, WindowKind, _geometry
+from .vocoder import (
+    _BLOCK_FRAMES, CLIP_MODES, SPECTROGRAM_KINDS, ClipMode, Spectrogram, _check_metadata, _check_rows, _row_blocks,
+    expected_bins,
+)
 
 __all__ = [
     "MultiChannelWarning",
@@ -93,8 +112,12 @@ def _f32(values: np.ndarray, what: str) -> np.ndarray:
         raise InvalidInputError(f"{what} exceed the float32 range (max {np.finfo(np.float32).max:g})") from None
 
 
-def _atomic_write(path, *chunks) -> None:
-    """Write ``chunks`` (bytes or C-ordered arrays, whose buffers are written as they are) to ``path``."""
+def _atomic_write(path, chunks) -> None:
+    """Write the iterable ``chunks`` (bytes or C-ordered arrays, whose buffers are written as they are) to ``path``.
+
+    ``chunks`` may be a generator: each chunk is written as it comes, and a
+    failure while it runs leaves no file behind.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -246,33 +269,32 @@ def write_wav(path, x: Waveform, encoding: str = "float32") -> None:
         "<IHHIIHH", 16, fmt_code, 1, x.sample_rate, byte_rate, block_align, 8 * block_align
     )
     header += b"data" + struct.pack("<I", data_size)
-    _atomic_write(path, header, payload)
+    _atomic_write(path, (header, payload))
 
 
 # ---------------------------------------------------------------------------
 # MVS1 spectrogram container
 # ---------------------------------------------------------------------------
 
-def _header(spec: Spectrogram) -> dict:
-    """``spec``'s MVS1 header fields after magic and version, enums by name."""
-    cfg = spec.config
-    return {
-        "kind": spec.kind, "window": cfg.window.name, "clip": spec.clip.mode,
-        "clip_tau": spec.clip.tau, "kaiser_beta": cfg.window.beta, "win_length": cfg.win_length,
-        "hop_length": cfg.hop_length, "centered": bool(cfg.centered), "sample_rate": spec.sample_rate,
-        "original_length": spec.original_length, "n_frames": spec.n_frames, "n_bins": spec.n_bins,
-    }
+def _invalid(exc: ValueError) -> FormatError:
+    return FormatError(f"header describes an invalid spectrogram: {exc}")
 
 
-def write_spec(path, spec: Spectrogram) -> None:
-    """Write a spectrogram to the MVS1 container (see module docstring).
+def _write_spec(path, kind, config, clip, sample_rate, original_length, blocks) -> None:
+    """The one MVS1 writer: the header of that spectrogram, then the float32 rows ``blocks`` yields.
 
-    A spectrogram :func:`read_spec` could not read back raises
-    :class:`InvalidInputError` before any byte is written: a tau or beta
-    that is invalid once rounded to float32, a payload value beyond float32
-    range, or a value too wide for its header field.
+    The header follows from the metadata alone, so every header check runs
+    before any payload byte; each block is cast while it is still in cache
+    and written through the atomic temp file, which a failure partway
+    through removes.
     """
-    fields = {"magic": SPEC_MAGIC, "version": SPEC_VERSION, **_header(spec)}
+    fields = {
+        "magic": SPEC_MAGIC, "version": SPEC_VERSION, "kind": kind, "window": config.window.name,
+        "clip": clip.mode, "clip_tau": clip.tau, "kaiser_beta": config.window.beta,
+        "win_length": config.win_length, "hop_length": config.hop_length, "centered": bool(config.centered),
+        "sample_rate": sample_rate, "original_length": original_length,
+        "n_frames": _geometry(config, original_length)[0], "n_bins": expected_bins(kind, config.win_length),
+    }
     for what, cls, name in (("clip", ClipMode, "clip_tau"), ("window", WindowKind, "kaiser_beta")):
         stored = float(np.float32(fields[name]))
         try:
@@ -287,17 +309,37 @@ def write_spec(path, spec: Spectrogram) -> None:
             header += struct.pack("<" + code, fields[name])
         except struct.error as exc:
             raise InvalidInputError(f"MVS1 {name} {fields[name]!r} does not fit its header field: {exc}") from None
-    _atomic_write(path, header, _f32(spec.data, "MVS1 payload values"))
+    _atomic_write(path, itertools.chain((header,), (_f32(rows, "MVS1 payload values") for rows in blocks)))
 
 
-def read_spec(path) -> Spectrogram:
-    """Read an MVS1 file back into a :class:`Spectrogram`.
+def write_spec(path, spec: Spectrogram) -> None:
+    """Write a spectrogram to the MVS1 container (see module docstring).
 
-    The result passes every spectrogram invariant; inconsistent headers
-    surface as :class:`FormatError`.
+    A spectrogram :func:`read_spec` could not read back raises
+    :class:`InvalidInputError` and leaves no file: a tau or beta that is
+    invalid once rounded to float32, a payload value beyond float32 range,
+    or a value too wide for its header field.  This is the one MVS1
+    writer fed ``spec.data`` a block of rows at a time.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    _write_spec(
+        path, spec.kind, spec.config, spec.clip, spec.sample_rate, spec.original_length, _row_blocks(spec.data)
+    )
+
+
+def _read_spec(fh):
+    """The one MVS1 reader: ``(header fields, config, clip, blocks)`` of the open binary file ``fh``.
+
+    The header fields (enums by name) are those :func:`spec_info` returns.
+    The header, the payload size and every spectrogram rule on the metadata
+    are checked before anything is sized.  ``blocks(out=None)`` then yields
+    the payload as float64 rows, ``_BLOCK_FRAMES`` at a time, each checked
+    by the rules :class:`Spectrogram` applies: in ``out``'s rows when
+    ``out`` (one row per frame) is given, else in one buffer every block
+    reuses.  Any fault is a :class:`FormatError`.
+    """
+    if not fh.seekable():  # a pipe: its size is known once it is read
+        fh = io.BytesIO(fh.read())
+    raw = fh.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise FormatError(
             f"truncated header: expected {_HEADER.size} bytes, got {len(raw)}"
@@ -316,28 +358,59 @@ def read_spec(path) -> Spectrogram:
     if head["centered"] not in (0, 1):
         raise FormatError(f"centered flag must be 0 or 1, got {head['centered']}")
     head["centered"] = bool(head["centered"])
-    expected = head["n_frames"] * head["n_bins"] * 4
-    actual = len(raw) - _HEADER.size
+    kind, n_frames, n_bins = head["kind"], head["n_frames"], head["n_bins"]
+    expected = n_frames * n_bins * 4
+    actual = fh.seek(0, os.SEEK_END) - _HEADER.size
     if actual != expected:
         raise FormatError(
             f"payload size mismatch: header implies {expected} bytes, file holds {actual}"
         )
-    data = (
-        np.frombuffer(raw, "<f4", offset=_HEADER.size)
-        .astype(np.float64)
-        .reshape(head["n_frames"], head["n_bins"])
-    )
+    fh.seek(_HEADER.size)
     try:
         window = WindowKind(head["window"], head["kaiser_beta"])
         config = FrameConfig(head["win_length"], head["hop_length"], window, head["centered"])
         clip = ClipMode(head["clip"], head["clip_tau"])
-        return Spectrogram(
-            head["kind"], data, config, clip, head["sample_rate"], head["original_length"]
-        )
+        _check_metadata(kind, config, clip, head["sample_rate"], head["original_length"], n_frames, n_bins)
     except ValueError as exc:
-        raise FormatError(f"header describes an invalid spectrogram: {exc}") from exc
+        raise _invalid(exc) from exc
+
+    def blocks(out=None):
+        stored = np.empty((min(n_frames, _BLOCK_FRAMES), n_bins), "<f4")
+        buf = np.empty(stored.shape) if out is None else None
+        for i in range(0, n_frames, _BLOCK_FRAMES):
+            chunk = stored[: n_frames - i]
+            if fh.readinto(chunk) != chunk.nbytes:
+                raise FormatError(f"payload ended early, in frames {i}..{i + len(chunk) - 1}")
+            rows = buf[: len(chunk)] if out is None else out[i : i + len(chunk)]
+            np.copyto(rows, chunk)
+            try:
+                _check_rows(rows, kind, clip)
+            except ValueError as exc:
+                raise _invalid(exc) from exc
+            yield rows
+
+    return head, config, clip, blocks
+
+
+def read_spec(path) -> Spectrogram:
+    """Read an MVS1 file back into a :class:`Spectrogram`.
+
+    The result passes every spectrogram invariant; inconsistent headers
+    surface as :class:`FormatError`.  This is the one MVS1 reader with its
+    blocks landing in the rows of one array, checked once.
+    """
+    with open(path, "rb") as fh:
+        head, config, clip, blocks = _read_spec(fh)
+        data = np.empty((head["n_frames"], head["n_bins"]))
+        for _ in blocks(data):
+            pass
+    return Spectrogram._checked(head["kind"], data, config, clip, head["sample_rate"], head["original_length"])
 
 
 def spec_info(path) -> dict:
     """Header metadata of an MVS1 file that :func:`read_spec` accepts."""
-    return _header(read_spec(path))
+    with open(path, "rb") as fh:
+        head, _, _, blocks = _read_spec(fh)
+        for _ in blocks():
+            pass
+    return head

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .signal import FrameConfig, Waveform, WindowKind
+from .signal import FrameConfig, Waveform, WindowKind, _geometry
 from .transforms import dct2
 from .vocoder import ClipMode, _spectrum
 
@@ -115,7 +115,9 @@ def _cepstra(x: Waveform, cfg: McdConfig, fb: np.ndarray) -> np.ndarray:
     frame_cfg = FrameConfig(cfg.fft_win, cfg.fft_hop, WindowKind.hann(), centered=True)
     # x is a checked Waveform; clip none is only analyze's one finite scan, for rfft overflow.
     # The product stays one whole matmul: blocking it changes the BLAS bits.
-    mag = _spectrum(x, frame_cfg, "magnitude", ClipMode(), 1)
+    mag = np.empty((_geometry(frame_cfg, len(x))[0], cfg.fft_win // 2 + 1))
+    for _ in _spectrum(x, frame_cfg, "magnitude", ClipMode(), 1, mag):
+        pass
     mel = np.log(np.maximum(mag @ fb.T, LOG_FLOOR))
     return dct2(mel)[:, 1 : cfg.n_cepstra + 1]
 

@@ -17,7 +17,9 @@ import numpy as np
 import scipy.fft
 
 from . import transforms
-from .errors import InvalidConfigError, InvalidInputError, UnsupportedKindError, _count, _finite, _whole
+from .errors import (
+    InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _count, _finite, _whole,
+)
 from .signal import (
     FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _overlap_add, parse_name_value,
 )
@@ -35,14 +37,16 @@ __all__ = [
 
 
 def _magnitude(frames: np.ndarray, out: np.ndarray, workers: int) -> np.ndarray:
-    return np.abs(scipy.fft.rfft(frames, axis=-1, workers=workers), out=out)
+    spectrum = scipy.fft.rfft(frames, axis=-1, workers=workers)
+    # out may be the frames themselves, wider than the half spectrum
+    return np.abs(spectrum, out=out[:, : spectrum.shape[1]])
 
 
 class Kind(NamedTuple):
     """Everything that differs between spectrogram kinds."""
 
     algo: str  # the CLI ``--algo`` name
-    # (frames, out, workers): writes the transform of the frames into out, which may be frames
+    # (frames, out, workers): returns the transform of the frames, written into out, which may be frames
     forward: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     inverse: Callable[..., np.ndarray] | None  # None: no synthesis path
     half_spectrum: bool = False  # win_length // 2 + 1 bins instead of win_length
@@ -161,36 +165,25 @@ class Spectrogram:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2:
             raise InvalidInputError(f"spectrogram data must be 2-D, got shape {data.shape}")
-        unsigned = _check_kind_rules(self.kind, self.config, self.clip).unsigned
-        bins = expected_bins(self.kind, self.config.win_length)
-        if data.shape[1] != bins:
-            raise InvalidInputError(
-                f"{self.kind} spectrogram at win={self.config.win_length} must have "
-                f"{bins} bins per frame, got {data.shape[1]}"
-            )
-        _check_frame_count(data.shape[0], self.config, self.original_length)
-        if not np.isfinite(data).all():
-            raise InvalidInputError("spectrogram data contains NaN or Inf")
-        if unsigned or self.clip.mode == "zero":
-            if data.size and data.min() < 0.0:
-                raise InvalidInputError(
-                    f"{self.kind}/{self.clip.label()} spectrogram must be nonnegative"
-                )
-        elif self.clip.mode == "threshold":
-            # Tolerance absorbs float32 container round-trips.
-            lo = self.tau_floor()
-            if data.size and not ((data == 0.0) | (data > lo)).all():
-                raise InvalidInputError(
-                    f"threshold-clipped spectrogram has entries in (0, {lo:g}]"
-                )
-        if not _whole(self.sample_rate) or self.sample_rate <= 0:
-            raise InvalidInputError(f"sample_rate must be a positive integer, got {self.sample_rate}")
+        _check_metadata(self.kind, self.config, self.clip, self.sample_rate, self.original_length, *data.shape)
+        for rows in _row_blocks(data):
+            _check_rows(rows, self.kind, self.clip)
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
+    @classmethod
+    def _checked(cls, kind, data, config, clip, sample_rate, original_length) -> "Spectrogram":
+        """A spectrogram of fields that already passed ``_check_metadata`` and ``_check_rows``, not scanned again."""
+        spec = object.__new__(cls)
+        data.setflags(write=False)
+        spec.__dict__.update(
+            kind=kind, data=data, config=config, clip=clip, sample_rate=sample_rate, original_length=original_length
+        )
+        return spec
+
     def tau_floor(self) -> float:
-        return self.clip.tau * (1.0 - 1e-6)
+        return _tau_floor(self.clip)
 
     @property
     def n_frames(self) -> int:
@@ -199,6 +192,51 @@ class Spectrogram:
     @property
     def n_bins(self) -> int:
         return self.data.shape[1]
+
+
+def _row_blocks(data: np.ndarray):
+    """``data``'s rows as views of ``_BLOCK_FRAMES`` rows each, in order."""
+    return (data[i : i + _BLOCK_FRAMES] for i in range(0, len(data), _BLOCK_FRAMES))
+
+
+def _tau_floor(clip: ClipMode) -> float:
+    # Tolerance absorbs float32 container round-trips.
+    return clip.tau * (1.0 - 1e-6)
+
+
+def _check_metadata(kind, config, clip, sample_rate, original_length, n_frames, n_bins) -> None:
+    """The :class:`Spectrogram` rules on everything but the data values: those of ``n_frames x n_bins`` data."""
+    _check_kind_rules(kind, config, clip)
+    bins = expected_bins(kind, config.win_length)
+    if n_bins != bins:
+        raise InvalidInputError(
+            f"{kind} spectrogram at win={config.win_length} must have "
+            f"{bins} bins per frame, got {n_bins}"
+        )
+    _check_frame_count(n_frames, config, original_length)
+    if not _whole(sample_rate) or sample_rate <= 0:
+        raise InvalidInputError(f"sample_rate must be a positive integer, got {sample_rate}")
+
+
+def _check_rows(rows: np.ndarray, kind: str, clip: ClipMode) -> None:
+    """The :class:`Spectrogram` rules on data values, checked on a nonempty block of rows.
+
+    Spectrogram checks its data a ``_row_blocks`` block at a time, as the
+    MVS1 reader does, so both report the first fault of the same block.
+    """
+    if not np.isfinite(rows).all():
+        raise InvalidInputError("spectrogram data contains NaN or Inf")
+    if KINDS[kind].unsigned or clip.mode == "zero":
+        if rows.min() < 0.0:
+            raise InvalidInputError(
+                f"{kind}/{clip.label()} spectrogram must be nonnegative"
+            )
+    elif clip.mode == "threshold":
+        lo = _tau_floor(clip)
+        if not ((rows == 0.0) | (rows > lo)).all():
+            raise InvalidInputError(
+                f"threshold-clipped spectrogram has entries in (0, {lo:g}]"
+            )
 
 
 def apply_clip(data, mode: ClipMode) -> np.ndarray:
@@ -224,21 +262,33 @@ def _clip(a: np.ndarray, mode: ClipMode) -> np.ndarray:
     return a
 
 
-def _spectrum(x: Waveform, config: FrameConfig, kind: str, clip: ClipMode, workers: int) -> np.ndarray:
-    """The clipped ``kind`` spectrogram data of ``x``, built ``_BLOCK_FRAMES`` frames at a time.
+def _check_analysis(x: Waveform, config: FrameConfig, kind: str, clip: ClipMode, workers) -> tuple[int, int]:
+    """``(n_frames, workers)`` of the analysis of ``x``, once :func:`analyze`'s preconditions hold."""
+    workers = _count("workers", workers, 1)
+    if len(x) == 0:
+        raise InvalidInputError("cannot analyze an empty waveform")
+    _check_kind_rules(kind, config, clip)
+    return _geometry(config, len(x))[0], workers
 
-    Each block is windowed straight into its rows of the one output array
-    (into a reused frame buffer when the kind has fewer bins than the
-    window), transformed there and clipped while it is still in cache, so
-    no whole-signal frame matrix or transform output is built.  Rows are
+
+def _spectrum(x: Waveform, config: FrameConfig, kind: str, clip: ClipMode, workers: int, out=None):
+    """Yield the clipped ``kind`` spectrogram rows of ``x``, ``_BLOCK_FRAMES`` frames at a time.
+
+    The one analysis loop; the caller checks :func:`_check_analysis` first.
+    Each block is windowed straight into its rows, transformed there and
+    clipped while it is still in cache, so no whole-signal frame matrix or
+    transform output is built.  The rows are ``out``'s when ``out`` (one
+    row per frame) is given, else one block buffer every block reuses, so
+    a yielded block is valid only until the next.  A kind with fewer bins
+    than the window is framed into a reused buffer instead and transformed
+    into ``out``'s rows or that buffer's leading columns.  Rows are
     transformed and clipped independently, so the bits are those of the
     whole-matrix transform and clip.
     """
     row = KINDS[kind]
-    data = np.empty((_geometry(config, len(x))[0], expected_bins(kind, config.win_length)))
-    for i, frames in _frame_blocks(x, config, _BLOCK_FRAMES, None if row.half_spectrum else data):
-        _clip(row.forward(frames, data[i : i + len(frames)], workers), clip)
-    return data
+    for i, frames in _frame_blocks(x, config, _BLOCK_FRAMES, None if row.half_spectrum else out):
+        rows = frames if out is None or not row.half_spectrum else out[i : i + len(frames)]
+        yield _clip(row.forward(frames, rows, workers), clip)
 
 
 def analyze(
@@ -271,11 +321,11 @@ def analyze(
     """
     if not isinstance(clip, ClipMode):
         clip = ClipMode.parse(clip)
-    workers = _count("workers", workers, 1)
-    if len(x) == 0:
-        raise InvalidInputError("cannot analyze an empty waveform")
-    _check_kind_rules(kind, config, clip)
-    return Spectrogram(kind, _spectrum(x, config, kind, clip, workers), config, clip, x.sample_rate, len(x))
+    n_frames, workers = _check_analysis(x, config, kind, clip, workers)
+    data = np.empty((n_frames, expected_bins(kind, config.win_length)))
+    for _ in _spectrum(x, config, kind, clip, workers, data):
+        pass
+    return Spectrogram(kind, data, config, clip, x.sample_rate, len(x))
 
 
 def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
@@ -288,13 +338,41 @@ def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
     spectrograms cannot be inverted here -- that would require the phase
     estimation this library exists to avoid.
     """
-    inverse = KINDS[spec.kind].inverse
-    if inverse is None:
-        raise UnsupportedKindError(
-            "magnitude spectrograms have no synthesis path (phase is gone); "
-            "use real_fft, dct or packed_rfft"
-        )
-    workers = _count("workers", workers, 1)
-    data = spec.data
-    blocks = (inverse(data[i : i + _BLOCK_FRAMES], workers=workers) for i in range(0, len(data), _BLOCK_FRAMES))
-    return Waveform(_overlap_add(blocks, spec.config, spec.original_length), spec.sample_rate)
+    return _synthesis(spec.kind, _row_blocks(spec.data), spec.config, spec.original_length, spec.sample_rate, workers)
+
+
+def _synthesis(kind: str, blocks, config: FrameConfig, original_length: int, sample_rate: int, workers) -> Waveform:
+    """The waveform of the ``kind`` spectrogram rows ``blocks`` yields in frame order.
+
+    The one synthesis pipeline: each block is inverted and handed straight
+    to ``_overlap_add``.  A kind with no synthesis path, or bad ``workers``,
+    is refused only once ``blocks`` is drained, so a fault the blocks'
+    source finds (a bad MVS1 payload value, say) is reported first, as it is
+    when the whole spectrogram is read or analyzed before synthesis.
+    """
+    inverse = KINDS[kind].inverse
+    try:
+        if inverse is None:
+            raise UnsupportedKindError(
+                "magnitude spectrograms have no synthesis path (phase is gone); "
+                "use real_fft, dct or packed_rfft"
+            )
+        workers = _count("workers", workers, 1)
+    except SpecinvError:
+        for _ in blocks:
+            pass
+        raise
+    y = _overlap_add((inverse(rows, workers=workers) for rows in blocks), config, original_length)
+    return Waveform(y, sample_rate)
+
+
+def _roundtrip(x: Waveform, config: FrameConfig, kind: str, clip: ClipMode, workers) -> Waveform:
+    """``synthesize(analyze(x, config, kind, clip, workers), workers)``, bit for bit, with no spectrogram.
+
+    The analysis blocks go straight to the inverse and overlap-add.  They
+    need no :class:`Spectrogram` scan: the kind's rules are checked first,
+    and ``_clip`` finite-checks every block and leaves it as its clip mode
+    requires.
+    """
+    _, workers = _check_analysis(x, config, kind, clip, workers)
+    return _synthesis(kind, _spectrum(x, config, kind, clip, workers), config, len(x), x.sample_rate, workers)

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.fft
 
 from specinv.io import write_spec
-from specinv.signal import OLA_EPS, FrameConfig, Waveform, WindowKind, make_window
+from specinv.signal import OLA_EPS, FrameConfig, Waveform, WindowKind, _geometry, make_window
 from specinv.transforms import dct2, dft_real_part, rfft_packed
 from specinv.vocoder import ClipMode, analyze, apply_clip
 
@@ -121,6 +121,17 @@ def oracle_frame_starts(n_samples, config: FrameConfig):
     if config.centered and starts and starts[-1] + win < n:
         starts.append(starts[-1] + hop)
     return starts, n
+
+
+def length_with_frames(cfg: FrameConfig, n_frames):
+    """A signal length that ``cfg`` frames into exactly ``n_frames`` frames, the last hop partial."""
+    win, hop = cfg.win_length, cfg.hop_length
+    if cfg.centered:
+        length = (n_frames - 1) * hop + win - 2 * (win // 2) - hop // 2
+    else:
+        length = (n_frames - 1) * hop + win + hop // 2
+    assert _geometry(cfg, length)[0] == n_frames
+    return length
 
 
 def oracle_frame_signal(x: Waveform, config: FrameConfig):

@@ -10,10 +10,11 @@ from numpy.testing import assert_allclose
 from helpers import (
     circular_even_part, oracle_analyze, oracle_frame_signal, oracle_overlap_add, oracle_rfft_packed,
 )
+from helpers import length_with_frames as _length_with
 
 from specinv.errors import InvalidConfigError, InvalidInputError, UnsupportedKindError
 from specinv.metrics import mcd, snr_db
-from specinv.signal import FrameConfig, Waveform, WindowKind, _geometry, frame_signal
+from specinv.signal import FrameConfig, Waveform, WindowKind, frame_signal
 from specinv.transforms import idft_from_real
 from specinv.vocoder import (
     _BLOCK_FRAMES, KINDS, SPECTROGRAM_KINDS, ClipMode, Spectrogram, analyze, apply_clip, expected_bins,
@@ -336,17 +337,6 @@ def test_whole_float_workers_act_as_the_integer(rng):
 # ---------------------------------------------------------------------------
 # Blocked synthesis
 # ---------------------------------------------------------------------------
-
-
-def _length_with(cfg, n_frames):
-    """A signal length that ``cfg`` frames into exactly ``n_frames`` frames, the last hop partial."""
-    win, hop = cfg.win_length, cfg.hop_length
-    if cfg.centered:
-        length = (n_frames - 1) * hop + win - 2 * (win // 2) - hop // 2
-    else:
-        length = (n_frames - 1) * hop + win + hop // 2
-    assert _geometry(cfg, length)[0] == n_frames
-    return length
 
 
 def _assert_synthesis_matches_oracle(rng, kind, cfg, n_frames):

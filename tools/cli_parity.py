@@ -16,7 +16,10 @@ under test, and the MVS1 inputs of ``synthesize``/``info`` are the outputs of
 the ``analyze`` calls before them, so they differ only if ``analyze`` does.
 The set covers every ``--algo`` x window x clip x centering at an even and
 an odd window, ``roundtrip --report``, ``metrics``, ``info`` on WAV, MVS1,
-junk and invalid headers, the error lines and every ``--help``.
+junk and invalid headers, the error lines and every ``--help``.  Last come
+files of several frame blocks: every ``--algo`` x clip at 64/16, through
+``analyze``, ``synthesize``, ``info`` and ``roundtrip --report``, and five
+of those files with one bad value at the end of their last block.
 ``bench`` is timed, so only its help and error lines are run.
 """
 from __future__ import annotations
@@ -218,6 +221,32 @@ def fixtures(run):
 
     for command in ((),) + tuple((c,) for c in COMMANDS):
         run(*command, "--help")
+
+    # multi-block files: 64/16 frames in/a.wav into 773 frames, 4 blocks of 256
+    multi = {}
+    for algo in ALGOS:
+        for clip in CLIPS:
+            grid = ("--algo", algo, "--win", "64", "--hop", "16", "--clip", clip)
+            mvs = run.out("mvs")
+            if run("analyze", "in/a.wav", mvs, *grid).get("exit") == 0:
+                run("synthesize", mvs, run.out("wav"))
+                run("info", mvs)
+                multi[algo, clip] = Path(mvs).read_bytes()
+            run("roundtrip", "in/a.wav", run.out("wav"), *grid, "--report")
+    # and each with one bad value, the last of its last block
+    last_block_faults = {
+        "last_nan": ("dct", "none", float("nan")),
+        "last_inf": ("prft", "zero", float("inf")),
+        "last_negative": ("dct", "zero", -0.5),
+        "last_negative_magnitude": ("magnitude", "none", -0.5),
+        "last_below_tau": ("fft-real", "threshold:0.05", 0.04),
+    }
+    for name, (algo, clip, value) in last_block_faults.items():
+        raw = multi[algo, clip]
+        path = f"in/{name}.mvs"
+        Path(path).write_bytes(patched(raw, len(raw) - 4, "<f", value))
+        run("info", path)
+        run("synthesize", path, run.out("wav"))
 
 
 def main(argv):
