@@ -9,6 +9,7 @@ injectable so the report arithmetic is unit-testable without real timing.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, MeasurementError, _count, _finite, _whole
 from .signal import FrameConfig, Waveform
-from .vocoder import ClipMode, _roundtrip, analyze, synthesize
+from .vocoder import ClipMode, _spectrum, _synthesis, analyze, synthesize
 
 __all__ = [
     "BenchSpec",
@@ -50,11 +51,11 @@ class BenchSpec:
     def __post_init__(self):
         object.__setattr__(self, "runs", _count("runs", self.runs, 1))
         object.__setattr__(self, "warmup_runs", _count("warmup_runs", self.warmup_runs, 0))
-        if self.clip_duration <= 0:
+        if isinstance(self.clip_duration, numbers.Real) and self.clip_duration <= 0:
             raise InvalidConfigError("clip_duration must be positive")
         if not _finite(self.clip_duration):
             raise InvalidConfigError(f"clip_duration must be finite, got {self.clip_duration}")
-        if self.sample_rate <= 0:
+        if isinstance(self.sample_rate, numbers.Real) and self.sample_rate <= 0:
             raise InvalidConfigError("sample_rate must be positive")
         if not _whole(self.sample_rate):
             raise InvalidConfigError(f"sample_rate must be a positive integer, got {self.sample_rate}")
@@ -133,19 +134,11 @@ def run_bench(spec: BenchSpec, x: Waveform | None = None, clock=time.perf_counte
 
     if spec.stage == "synthesize_only":
         gram = analyze(x, spec.config, spec.kind, spec.clip, workers=spec.workers)
-
-        def stage():
-            return synthesize(gram, workers=spec.workers)
-
-    elif spec.stage == "analyze_only":
-
-        def stage():
-            return analyze(x, spec.config, spec.kind, spec.clip, workers=spec.workers)
-
-    else:
-
-        def stage():
-            return _roundtrip(x, spec.config, spec.kind, spec.clip, spec.workers)
+    stage = {
+        "synthesize_only": lambda: synthesize(gram, workers=spec.workers),
+        "analyze_only": lambda: analyze(x, spec.config, spec.kind, spec.clip, workers=spec.workers),
+        "roundtrip": lambda: _synthesis(_spectrum(x, spec.config, spec.kind, spec.clip, spec.workers), spec.workers),
+    }[spec.stage]
 
     for _ in range(spec.warmup_runs):
         stage()

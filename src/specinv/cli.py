@@ -9,6 +9,7 @@ partial file behind.  Errors exit nonzero with a single
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from . import bench as bench_mod
@@ -24,7 +25,7 @@ from .errors import (
     UnsupportedKindError,
 )
 from .signal import FrameConfig, WindowKind
-from .vocoder import KINDS, ClipMode, _check_analysis, _roundtrip, _spectrum, _synthesis
+from .vocoder import KINDS, ClipMode, _spectrum, _synthesis
 
 ALGO_KINDS = {k.algo: kind for kind, k in KINDS.items()}
 STAGE_NAMES = dict(zip(("synth", "analyze", "roundtrip"), bench_mod.STAGES))
@@ -201,45 +202,35 @@ def _print_quality(ref, est, mcd_config=metrics_mod.McdConfig()) -> None:
 
 # analyze, synthesize and roundtrip stream the spectrogram a block at a time
 # and never hold it whole; see the specinv.io docstring.
-def _cmd_analyze(args) -> int:
-    config = _frame_config(args)
-    clip = ClipMode.parse(args.clip)
-    kind = ALGO_KINDS[args.algo]
+def _cmd_analyze(args) -> None:
+    config, clip = _frame_config(args), ClipMode.parse(args.clip)
     x = io_mod.read_wav(args.input)
-    _, workers = _check_analysis(x, config, kind, clip, args.threads)
-    blocks = _spectrum(x, config, kind, clip, workers)
-    io_mod._write_spec(args.output, kind, config, clip, x.sample_rate, len(x), blocks)
-    return 0
+    io_mod._write_spec(args.output, _spectrum(x, config, ALGO_KINDS[args.algo], clip, args.threads))
 
 
-def _cmd_synthesize(args) -> int:
+def _cmd_synthesize(args) -> None:
     with open(args.input, "rb") as fh:
-        head, config, _, blocks = io_mod._read_spec(fh)
-        y = _synthesis(head["kind"], blocks(), config, head["original_length"], head["sample_rate"], args.threads)
+        y = _synthesis(io_mod._read_spec(fh), args.threads)
     io_mod.write_wav(args.output, y, encoding=args.encoding)
-    return 0
 
 
-def _cmd_roundtrip(args) -> int:
-    config = _frame_config(args)
-    clip = ClipMode.parse(args.clip)
+def _cmd_roundtrip(args) -> None:
+    config, clip = _frame_config(args), ClipMode.parse(args.clip)
     x = io_mod.read_wav(args.input)
-    y = _roundtrip(x, config, ALGO_KINDS[args.algo], clip, args.threads)
+    y = _synthesis(_spectrum(x, config, ALGO_KINDS[args.algo], clip, args.threads), args.threads)
     io_mod.write_wav(args.output, y, encoding=args.encoding)
     if args.report:
         _print_quality(x, y)
-    return 0
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args) -> None:
     cfg = metrics_mod.McdConfig(n_mel_bands=args.mcd_bands, n_cepstra=args.mcd_cepstra)
     ref = io_mod.read_wav(args.reference)
     est = io_mod.read_wav(args.estimate)
     _print_quality(ref, est, cfg)
-    return 0
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> None:
     spec = bench_mod.BenchSpec(
         kind=ALGO_KINDS[args.algo],
         config=_frame_config(args),
@@ -254,21 +245,22 @@ def _cmd_bench(args) -> int:
     report = bench_mod.run_bench(spec)
     print("\t".join(bench_mod.TSV_COLUMNS))
     print(report.tsv_row())
-    return 0
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> None:
     with open(args.input, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"RIFF":
-        meta = io_mod.wav_info(args.input)
-    elif magic == io_mod.SPEC_MAGIC:
-        meta = io_mod.spec_info(args.input)
-    else:
-        raise FormatError(f"{args.input}: neither a WAV nor an MVS1 file (magic {magic!r})")
+        # The one open: a pipe is read whole, so its magic can be read again with the rest.
+        src = fh if fh.seekable() else io.BytesIO(fh.read())
+        magic = src.read(4)
+        src.seek(0)
+        if magic == b"RIFF":
+            meta = io_mod._parse_wav(src.read())[0]
+        elif magic == io_mod.SPEC_MAGIC:
+            meta = io_mod._spec_info(src)
+        else:
+            raise FormatError(f"{args.input}: neither a WAV nor an MVS1 file (magic {magic!r})")
     for key, value in meta.items():
         print(f"{key}\t{value}")
-    return 0
 
 
 _COMMANDS = {
@@ -289,7 +281,8 @@ def dispatch(argv) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
+        return 0
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     except _UsageError as exc:

@@ -67,8 +67,8 @@ import numpy as np
 from .errors import FormatError, InvalidInputError, UnsupportedCodecError
 from .signal import WINDOW_NAMES, FrameConfig, Waveform, WindowKind, _geometry
 from .vocoder import (
-    _BLOCK_FRAMES, CLIP_MODES, SPECTROGRAM_KINDS, ClipMode, Spectrogram, _check_metadata, _check_rows, _row_blocks,
-    expected_bins,
+    _BLOCK_FRAMES, CLIP_MODES, SPECTROGRAM_KINDS, ClipMode, Spectrogram, _check_metadata, _check_rows, _collect,
+    _Stream, expected_bins,
 )
 
 __all__ = [
@@ -280,21 +280,27 @@ def _invalid(exc: ValueError) -> FormatError:
     return FormatError(f"header describes an invalid spectrogram: {exc}")
 
 
-def _write_spec(path, kind, config, clip, sample_rate, original_length, blocks) -> None:
-    """The one MVS1 writer: the header of that spectrogram, then the float32 rows ``blocks`` yields.
+def _header(stream: _Stream) -> dict:
+    """The MVS1 header fields of ``stream`` after magic and version, enums by name: what :func:`spec_info` returns."""
+    config, clip = stream.config, stream.clip
+    return {
+        "kind": stream.kind, "window": config.window.name, "clip": clip.mode, "clip_tau": clip.tau,
+        "kaiser_beta": config.window.beta, "win_length": config.win_length, "hop_length": config.hop_length,
+        "centered": bool(config.centered), "sample_rate": stream.sample_rate,
+        "original_length": stream.original_length, "n_frames": _geometry(config, stream.original_length)[0],
+        "n_bins": expected_bins(stream.kind, config.win_length),
+    }
+
+
+def _write_spec(path, stream: _Stream) -> None:
+    """The one MVS1 writer: the header of ``stream``, then the float32 rows its blocks yield.
 
     The header follows from the metadata alone, so every header check runs
     before any payload byte; each block is cast while it is still in cache
     and written through the atomic temp file, which a failure partway
     through removes.
     """
-    fields = {
-        "magic": SPEC_MAGIC, "version": SPEC_VERSION, "kind": kind, "window": config.window.name,
-        "clip": clip.mode, "clip_tau": clip.tau, "kaiser_beta": config.window.beta,
-        "win_length": config.win_length, "hop_length": config.hop_length, "centered": bool(config.centered),
-        "sample_rate": sample_rate, "original_length": original_length,
-        "n_frames": _geometry(config, original_length)[0], "n_bins": expected_bins(kind, config.win_length),
-    }
+    fields = {"magic": SPEC_MAGIC, "version": SPEC_VERSION, **_header(stream)}
     for what, cls, name in (("clip", ClipMode, "clip_tau"), ("window", WindowKind, "kaiser_beta")):
         stored = float(np.float32(fields[name]))
         try:
@@ -309,7 +315,7 @@ def _write_spec(path, kind, config, clip, sample_rate, original_length, blocks) 
             header += struct.pack("<" + code, fields[name])
         except struct.error as exc:
             raise InvalidInputError(f"MVS1 {name} {fields[name]!r} does not fit its header field: {exc}") from None
-    _atomic_write(path, itertools.chain((header,), (_f32(rows, "MVS1 payload values") for rows in blocks)))
+    _atomic_write(path, itertools.chain((header,), (_f32(rows, "MVS1 payload values") for rows in stream.blocks())))
 
 
 def write_spec(path, spec: Spectrogram) -> None:
@@ -321,21 +327,17 @@ def write_spec(path, spec: Spectrogram) -> None:
     or a value too wide for its header field.  This is the one MVS1
     writer fed ``spec.data`` a block of rows at a time.
     """
-    _write_spec(
-        path, spec.kind, spec.config, spec.clip, spec.sample_rate, spec.original_length, _row_blocks(spec.data)
-    )
+    _write_spec(path, spec._stream())
 
 
-def _read_spec(fh):
-    """The one MVS1 reader: ``(header fields, config, clip, blocks)`` of the open binary file ``fh``.
+def _read_spec(fh) -> _Stream:
+    """The one MVS1 reader: the spectrogram stream of the open binary file ``fh``.
 
-    The header fields (enums by name) are those :func:`spec_info` returns.
     The header, the payload size and every spectrogram rule on the metadata
-    are checked before anything is sized.  ``blocks(out=None)`` then yields
-    the payload as float64 rows, ``_BLOCK_FRAMES`` at a time, each checked
-    by the rules :class:`Spectrogram` applies: in ``out``'s rows when
-    ``out`` (one row per frame) is given, else in one buffer every block
-    reuses.  Any fault is a :class:`FormatError`.
+    are checked before anything is sized.  The stream's blocks are the
+    payload as float64 rows, read into one reused float32 buffer and
+    widened, each checked by the rules :class:`Spectrogram` applies.  Any
+    fault is a :class:`FormatError`.
     """
     if not fh.seekable():  # a pipe: its size is known once it is read
         fh = io.BytesIO(fh.read())
@@ -345,19 +347,16 @@ def _read_spec(fh):
             f"truncated header: expected {_HEADER.size} bytes, got {len(raw)}"
         )
     head = dict(zip(_HEADER_FIELDS, _HEADER.unpack_from(raw)))
-    magic = head.pop("magic")
-    version = head.pop("version")
-    if magic != SPEC_MAGIC:
-        raise FormatError(f"bad magic {magic!r}; expected {SPEC_MAGIC!r}")
-    if version != SPEC_VERSION:
-        raise FormatError(f"unsupported version {version}; expected {SPEC_VERSION}")
+    if head["magic"] != SPEC_MAGIC:
+        raise FormatError(f"bad magic {head['magic']!r}; expected {SPEC_MAGIC!r}")
+    if head["version"] != SPEC_VERSION:
+        raise FormatError(f"unsupported version {head['version']}; expected {SPEC_VERSION}")
     for what, names in _ENUMS:
         if head[what] >= len(names):
             raise FormatError(f"unknown {what} code {head[what]}")
         head[what] = names[head[what]]
     if head["centered"] not in (0, 1):
         raise FormatError(f"centered flag must be 0 or 1, got {head['centered']}")
-    head["centered"] = bool(head["centered"])
     kind, n_frames, n_bins = head["kind"], head["n_frames"], head["n_bins"]
     expected = n_frames * n_bins * 4
     actual = fh.seek(0, os.SEEK_END) - _HEADER.size
@@ -368,7 +367,7 @@ def _read_spec(fh):
     fh.seek(_HEADER.size)
     try:
         window = WindowKind(head["window"], head["kaiser_beta"])
-        config = FrameConfig(head["win_length"], head["hop_length"], window, head["centered"])
+        config = FrameConfig(head["win_length"], head["hop_length"], window, head["centered"] == 1)
         clip = ClipMode(head["clip"], head["clip_tau"])
         _check_metadata(kind, config, clip, head["sample_rate"], head["original_length"], n_frames, n_bins)
     except ValueError as exc:
@@ -389,7 +388,7 @@ def _read_spec(fh):
                 raise _invalid(exc) from exc
             yield rows
 
-    return head, config, clip, blocks
+    return _Stream(kind, config, clip, head["sample_rate"], head["original_length"], blocks)
 
 
 def read_spec(path) -> Spectrogram:
@@ -397,20 +396,21 @@ def read_spec(path) -> Spectrogram:
 
     The result passes every spectrogram invariant; inconsistent headers
     surface as :class:`FormatError`.  This is the one MVS1 reader with its
-    blocks landing in the rows of one array, checked once.
+    blocks landing in the rows of one array, so each value is checked once.
     """
     with open(path, "rb") as fh:
-        head, config, clip, blocks = _read_spec(fh)
-        data = np.empty((head["n_frames"], head["n_bins"]))
-        for _ in blocks(data):
-            pass
-    return Spectrogram._checked(head["kind"], data, config, clip, head["sample_rate"], head["original_length"])
+        return _collect(_read_spec(fh))
 
 
 def spec_info(path) -> dict:
     """Header metadata of an MVS1 file that :func:`read_spec` accepts."""
     with open(path, "rb") as fh:
-        head, _, _, blocks = _read_spec(fh)
-        for _ in blocks():
-            pass
-    return head
+        return _spec_info(fh)
+
+
+def _spec_info(fh) -> dict:
+    """:func:`spec_info` of the open binary file ``fh``: its header, once every block is read and checked."""
+    stream = _read_spec(fh)
+    for _ in stream.blocks():
+        pass
+    return _header(stream)

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
-from .signal import FrameConfig, Waveform, WindowKind, _geometry
+from .errors import InvalidConfigError, InvalidInputError, _count, _finite
+from .signal import FrameConfig, Waveform, WindowKind
 from .transforms import dct2
-from .vocoder import ClipMode, _spectrum
+from .vocoder import ClipMode, _collect, _spectrum
 
 __all__ = ["McdConfig", "snr_db", "mcd", "mel_filterbank"]
 
@@ -39,6 +39,9 @@ class McdConfig:
     fmax: float | None = None
 
     def __post_init__(self):
+        for name in ("n_mel_bands", "n_cepstra", "fft_win", "fft_hop"):
+            # any whole number; the bounds below word their own messages
+            object.__setattr__(self, name, _count(name, getattr(self, name), -math.inf))
         if self.n_mel_bands < 1:
             raise InvalidConfigError("n_mel_bands must be positive")
         if not 0 < self.n_cepstra < self.n_mel_bands:
@@ -48,10 +51,10 @@ class McdConfig:
             )
         if not 1 <= self.fft_hop <= self.fft_win:
             raise InvalidConfigError("fft_hop must satisfy 1 <= hop <= win")
-        if self.fmin < 0:
-            raise InvalidConfigError("fmin must be >= 0")
-        if self.fmax is not None and self.fmax <= self.fmin:
-            raise InvalidConfigError("fmax must exceed fmin")
+        if not (_finite(self.fmin) and self.fmin >= 0):
+            raise InvalidConfigError(f"fmin must be a finite number >= 0, got {self.fmin!r}")
+        if self.fmax is not None and not (_finite(self.fmax) and self.fmax > self.fmin):
+            raise InvalidConfigError(f"fmax must be a finite number above fmin, got {self.fmax!r}")
 
 
 def snr_db(reference: Waveform, estimate: Waveform) -> float:
@@ -115,9 +118,7 @@ def _cepstra(x: Waveform, cfg: McdConfig, fb: np.ndarray) -> np.ndarray:
     frame_cfg = FrameConfig(cfg.fft_win, cfg.fft_hop, WindowKind.hann(), centered=True)
     # x is a checked Waveform; clip none is only analyze's one finite scan, for rfft overflow.
     # The product stays one whole matmul: blocking it changes the BLAS bits.
-    mag = np.empty((_geometry(frame_cfg, len(x))[0], cfg.fft_win // 2 + 1))
-    for _ in _spectrum(x, frame_cfg, "magnitude", ClipMode(), 1, mag):
-        pass
+    mag = _collect(_spectrum(x, frame_cfg, "magnitude", ClipMode(), 1)).data
     mel = np.log(np.maximum(mag @ fb.T, LOG_FLOOR))
     return dct2(mel)[:, 1 : cfg.n_cepstra + 1]
 

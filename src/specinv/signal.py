@@ -136,7 +136,9 @@ class Waveform:
     """A mono sample sequence with its sample rate.
 
     Samples are stored as float64 in nominal range [-1, 1] and must be
-    finite; the constructor copies/validates whatever array-like it gets.
+    finite; the constructor validates whatever array-like it gets and
+    converts it with ``np.asarray``, so a float64 array is kept as it is,
+    not copied.
     """
 
     samples: np.ndarray
@@ -233,8 +235,8 @@ def _geometry(config: FrameConfig, length: int) -> tuple[int, int, int]:
 
 
 def _check_frame_count(n_frames: int, config: FrameConfig, original_length: int) -> None:
-    if original_length < 0:
-        raise InvalidInputError("original_length must be >= 0")
+    if not _whole(original_length) or original_length < 0:
+        raise InvalidInputError(f"original_length must be a whole number >= 0, got {original_length!r}")
     expected = _geometry(config, original_length)[0]
     if n_frames != expected:
         raise InvalidInputError(

@@ -11,7 +11,7 @@ synthesis path at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -71,7 +71,7 @@ _BLOCK_FRAMES = 256
 
 
 def _kind(kind: str) -> Kind:
-    if kind not in KINDS:
+    if not (isinstance(kind, str) and kind in KINDS):
         raise UnsupportedKindError(
             f"unknown spectrogram kind {kind!r}; expected one of {SPECTROGRAM_KINDS}"
         )
@@ -171,16 +171,17 @@ class Spectrogram:
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "original_length", int(self.original_length))
 
-    @classmethod
-    def _checked(cls, kind, data, config, clip, sample_rate, original_length) -> "Spectrogram":
-        """A spectrogram of fields that already passed ``_check_metadata`` and ``_check_rows``, not scanned again."""
-        spec = object.__new__(cls)
-        data.setflags(write=False)
-        spec.__dict__.update(
-            kind=kind, data=data, config=config, clip=clip, sample_rate=sample_rate, original_length=original_length
-        )
-        return spec
+    def _stream(self) -> "_Stream":
+        """This spectrogram as a stream whose blocks are ``_BLOCK_FRAMES``-row views of ``data`` (or of ``out``)."""
+
+        def blocks(out=None):
+            if out is not None:
+                np.copyto(out, self.data)
+            return _row_blocks(self.data if out is None else out)
+
+        return _Stream(self.kind, self.config, self.clip, self.sample_rate, self.original_length, blocks)
 
     def tau_floor(self) -> float:
         return _tau_floor(self.clip)
@@ -206,6 +207,8 @@ def _tau_floor(clip: ClipMode) -> float:
 
 def _check_metadata(kind, config, clip, sample_rate, original_length, n_frames, n_bins) -> None:
     """The :class:`Spectrogram` rules on everything but the data values: those of ``n_frames x n_bins`` data."""
+    if not isinstance(clip, ClipMode):
+        raise InvalidConfigError(f"clip must be a ClipMode, got {clip!r}")
     _check_kind_rules(kind, config, clip)
     bins = expected_bins(kind, config.win_length)
     if n_bins != bins:
@@ -262,33 +265,63 @@ def _clip(a: np.ndarray, mode: ClipMode) -> np.ndarray:
     return a
 
 
-def _check_analysis(x: Waveform, config: FrameConfig, kind: str, clip: ClipMode, workers) -> tuple[int, int]:
-    """``(n_frames, workers)`` of the analysis of ``x``, once :func:`analyze`'s preconditions hold."""
+class _Stream(NamedTuple):
+    """A checked spectrogram's metadata and its rows, streamed ``_BLOCK_FRAMES`` frames at a time.
+
+    Every pipeline is a source of one (``_spectrum``, ``io._read_spec``,
+    ``Spectrogram._stream``) piped into a sink (``_synthesis``,
+    ``io._write_spec``, ``_collect``).  The source has checked every
+    metadata rule :class:`Spectrogram` applies before it returns; each row
+    ``blocks(out=None)`` yields, in frame order, is checked (or clipped) as
+    Spectrogram's value rules require, in ``out``'s rows when ``out`` (one
+    row per frame) is given, else in one buffer that every block reuses,
+    so a yielded block is valid only until the next.
+    """
+
+    kind: str
+    config: FrameConfig
+    clip: ClipMode
+    sample_rate: int
+    original_length: int
+    blocks: Callable[..., Iterator[np.ndarray]]
+
+
+def _spectrum(x: Waveform, config: FrameConfig, kind: str, clip: ClipMode, workers) -> _Stream:
+    """The clipped ``kind`` spectrogram of ``x`` as a stream, once :func:`analyze`'s preconditions hold.
+
+    The one analysis loop.  Each block is windowed straight into its rows,
+    transformed there and clipped while it is still in cache, so no
+    whole-signal frame matrix or transform output is built.  A kind with
+    fewer bins than the window is framed into a reused buffer instead and
+    transformed into ``out``'s rows or that buffer's leading columns.
+    Rows are transformed and clipped independently, so the bits are those
+    of the whole-matrix transform and clip, and ``_clip`` finite-checks
+    each block and leaves it as its clip mode requires.
+    """
     workers = _count("workers", workers, 1)
     if len(x) == 0:
         raise InvalidInputError("cannot analyze an empty waveform")
-    _check_kind_rules(kind, config, clip)
-    return _geometry(config, len(x))[0], workers
+    row = _check_kind_rules(kind, config, clip)
+    _geometry(config, len(x))
+
+    def blocks(out=None):
+        for i, frames in _frame_blocks(x, config, _BLOCK_FRAMES, None if row.half_spectrum else out):
+            rows = frames if out is None or not row.half_spectrum else out[i : i + len(frames)]
+            yield _clip(row.forward(frames, rows, workers), clip)
+
+    return _Stream(kind, config, clip, x.sample_rate, len(x), blocks)
 
 
-def _spectrum(x: Waveform, config: FrameConfig, kind: str, clip: ClipMode, workers: int, out=None):
-    """Yield the clipped ``kind`` spectrogram rows of ``x``, ``_BLOCK_FRAMES`` frames at a time.
-
-    The one analysis loop; the caller checks :func:`_check_analysis` first.
-    Each block is windowed straight into its rows, transformed there and
-    clipped while it is still in cache, so no whole-signal frame matrix or
-    transform output is built.  The rows are ``out``'s when ``out`` (one
-    row per frame) is given, else one block buffer every block reuses, so
-    a yielded block is valid only until the next.  A kind with fewer bins
-    than the window is framed into a reused buffer instead and transformed
-    into ``out``'s rows or that buffer's leading columns.  Rows are
-    transformed and clipped independently, so the bits are those of the
-    whole-matrix transform and clip.
-    """
-    row = KINDS[kind]
-    for i, frames in _frame_blocks(x, config, _BLOCK_FRAMES, None if row.half_spectrum else out):
-        rows = frames if out is None or not row.half_spectrum else out[i : i + len(frames)]
-        yield _clip(row.forward(frames, rows, workers), clip)
+def _collect(stream: _Stream) -> Spectrogram:
+    """The :class:`Spectrogram` of ``stream``: its blocks land in the rows of one array, wrapped with no rescan."""
+    config = stream.config
+    data = np.empty((_geometry(config, stream.original_length)[0], expected_bins(stream.kind, config.win_length)))
+    for _ in stream.blocks(data):
+        pass
+    data.setflags(write=False)
+    spec = object.__new__(Spectrogram)
+    spec.__dict__.update(zip(stream._fields, stream[:-1]), data=data)  # every field but blocks
+    return spec
 
 
 def analyze(
@@ -303,7 +336,8 @@ def analyze(
     Frames are windowed, transformed and clipped a block of
     ``_BLOCK_FRAMES`` at a time, in place in the spectrogram's rows, and
     the bits are those of the whole-matrix pipeline: ``frame_signal``, the
-    kind's public transform of all frames, then ``apply_clip``.
+    kind's public transform of all frames, then ``apply_clip``.  Each
+    value is checked once, as it is clipped.
 
     Parameters
     ----------
@@ -321,11 +355,7 @@ def analyze(
     """
     if not isinstance(clip, ClipMode):
         clip = ClipMode.parse(clip)
-    n_frames, workers = _check_analysis(x, config, kind, clip, workers)
-    data = np.empty((n_frames, expected_bins(kind, config.win_length)))
-    for _ in _spectrum(x, config, kind, clip, workers, data):
-        pass
-    return Spectrogram(kind, data, config, clip, x.sample_rate, len(x))
+    return _collect(_spectrum(x, config, kind, clip, workers))
 
 
 def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
@@ -338,19 +368,20 @@ def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
     spectrograms cannot be inverted here -- that would require the phase
     estimation this library exists to avoid.
     """
-    return _synthesis(spec.kind, _row_blocks(spec.data), spec.config, spec.original_length, spec.sample_rate, workers)
+    return _synthesis(spec._stream(), workers)
 
 
-def _synthesis(kind: str, blocks, config: FrameConfig, original_length: int, sample_rate: int, workers) -> Waveform:
-    """The waveform of the ``kind`` spectrogram rows ``blocks`` yields in frame order.
+def _synthesis(stream: _Stream, workers) -> Waveform:
+    """The waveform of ``stream``: the one synthesis pipeline.
 
-    The one synthesis pipeline: each block is inverted and handed straight
-    to ``_overlap_add``.  A kind with no synthesis path, or bad ``workers``,
-    is refused only once ``blocks`` is drained, so a fault the blocks'
-    source finds (a bad MVS1 payload value, say) is reported first, as it is
-    when the whole spectrogram is read or analyzed before synthesis.
+    Each block is inverted and handed straight to ``_overlap_add``.  A kind
+    with no synthesis path, or bad ``workers``, is refused only once the
+    blocks are drained, so a fault the stream's source finds (a bad MVS1
+    payload value, say) is reported first, as it is when the whole
+    spectrogram is read or analyzed before synthesis.
     """
-    inverse = KINDS[kind].inverse
+    inverse = KINDS[stream.kind].inverse
+    blocks = stream.blocks()
     try:
         if inverse is None:
             raise UnsupportedKindError(
@@ -362,17 +393,5 @@ def _synthesis(kind: str, blocks, config: FrameConfig, original_length: int, sam
         for _ in blocks:
             pass
         raise
-    y = _overlap_add((inverse(rows, workers=workers) for rows in blocks), config, original_length)
-    return Waveform(y, sample_rate)
-
-
-def _roundtrip(x: Waveform, config: FrameConfig, kind: str, clip: ClipMode, workers) -> Waveform:
-    """``synthesize(analyze(x, config, kind, clip, workers), workers)``, bit for bit, with no spectrogram.
-
-    The analysis blocks go straight to the inverse and overlap-add.  They
-    need no :class:`Spectrogram` scan: the kind's rules are checked first,
-    and ``_clip`` finite-checks every block and leaves it as its clip mode
-    requires.
-    """
-    _, workers = _check_analysis(x, config, kind, clip, workers)
-    return _synthesis(kind, _spectrum(x, config, kind, clip, workers), config, len(x), x.sample_rate, workers)
+    y = _overlap_add((inverse(rows, workers=workers) for rows in blocks), stream.config, stream.original_length)
+    return Waveform(y, stream.sample_rate)

@@ -120,6 +120,10 @@ def test_spec_validation():
         ("sample_rate", float("inf"), "sample_rate must be a positive integer, got inf"),
         ("sample_rate", 22050.5, "sample_rate must be a positive integer, got 22050.5"),
         ("sample_rate", 0, "sample_rate must be positive"),
+        ("clip_duration", "x", "clip_duration must be finite, got x"),
+        ("clip_duration", None, "clip_duration must be finite, got None"),
+        ("sample_rate", None, "sample_rate must be a positive integer, got None"),
+        ("sample_rate", "22050", "sample_rate must be a positive integer, got 22050"),
     ],
 )
 def test_spec_duration_is_finite_and_rate_whole(field, value, message):

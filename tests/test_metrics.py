@@ -117,6 +117,34 @@ def test_mcd_config_validation():
     assert (cfg.n_mel_bands, cfg.n_cepstra, cfg.fft_win, cfg.fft_hop) == (23, 13, 1024, 256)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("n_mel_bands", 30.5, "n_mel_bands must be a whole number, got 30.5"),
+        ("n_mel_bands", "a", "n_mel_bands must be a whole number, got 'a'"),
+        ("n_cepstra", 2.5, "n_cepstra must be a whole number, got 2.5"),
+        ("fft_win", float("nan"), "fft_win must be a whole number, got nan"),
+        ("fft_hop", None, "fft_hop must be a whole number, got None"),
+        ("fmin", float("nan"), "fmin must be a finite number >= 0, got nan"),
+        ("fmin", "0", "fmin must be a finite number >= 0, got '0'"),
+        ("fmax", float("inf"), "fmax must be a finite number above fmin, got inf"),
+        ("fmax", float("nan"), "fmax must be a finite number above fmin, got nan"),
+    ],
+)
+def test_mcd_config_takes_whole_counts_and_finite_band_edges(field, value, message):
+    with pytest.raises(InvalidConfigError) as exc:
+        McdConfig(**{field: value})
+    assert str(exc.value) == message
+
+
+def test_mcd_config_stores_whole_float_counts_as_ints(rng):
+    cfg = McdConfig(n_mel_bands=23.0, n_cepstra=13.0, fft_win=1024.0, fft_hop=256.0)
+    assert cfg == McdConfig() and all(type(v) is int for v in (cfg.n_mel_bands, cfg.n_cepstra, cfg.fft_win, cfg.fft_hop))
+    x = Waveform(rng.normal(size=8000) * 0.2, 22050)
+    y = Waveform(x.samples * 0.9, 22050)
+    assert mcd(x, y, cfg) == mcd(x, y)
+
+
 def test_mcd_custom_band_count_runs(rng):
     x = Waveform(rng.normal(size=8000) * 0.2, 22050)
     y = Waveform(x.samples * 0.9 + rng.normal(size=8000) * 0.002, 22050)

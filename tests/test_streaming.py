@@ -26,7 +26,7 @@ from specinv.io import _read_spec, read_spec, read_wav, spec_info, write_wav
 from specinv.metrics import mcd, snr_db
 from specinv.signal import WINDOW_NAMES, FrameConfig, Waveform, WindowKind
 from specinv.vocoder import (
-    _BLOCK_FRAMES, CLIP_MODES, KINDS, SPECTROGRAM_KINDS, ClipMode, Spectrogram, analyze, synthesize,
+    _BLOCK_FRAMES, CLIP_MODES, KINDS, SPECTROGRAM_KINDS, ClipMode, Spectrogram, _collect, analyze, synthesize,
 )
 
 KIND_CLIPS = [
@@ -173,11 +173,26 @@ def test_analyze_whose_last_block_overflows_float32_leaves_no_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav"]
 
 
+@pytest.mark.parametrize("kind,clip", KIND_CLIPS)
+def test_a_spectrogram_streams_its_rows_as_it_holds_them(kind, clip):
+    x = Waveform(np.random.default_rng(4).normal(size=9000) * 0.3, 16000)
+    spec = analyze(x, FrameConfig(64, 16), kind, ClipMode.parse(clip))
+    stream = spec._stream()
+    assert stream[:-1] == (spec.kind, spec.config, spec.clip, spec.sample_rate, spec.original_length)
+    views = list(stream.blocks())
+    assert [len(rows) for rows in views] == [_BLOCK_FRAMES, _BLOCK_FRAMES, spec.n_frames - 2 * _BLOCK_FRAMES]
+    assert all(np.shares_memory(rows, spec.data) for rows in views)
+    copy = _collect(stream)
+    assert not np.shares_memory(copy.data, spec.data) and not copy.data.flags.writeable
+    assert np.array_equal(copy.data, spec.data)
+    assert vars(copy) == {**vars(spec), "data": copy.data}
+
+
 def test_a_file_cut_short_while_read_is_a_format_error(tmp_path):
     path = tmp_path / "a.mvs"
     path.write_bytes(_three_block_spec("dct", "none"))
     with open(path, "rb") as fh:
-        _, _, _, blocks = _read_spec(fh)
+        blocks = _read_spec(fh).blocks
         os.truncate(path, MVS1_HEADER_SIZE + 100)
         with pytest.raises(FormatError, match=r"^payload ended early, in frames 0\.\.255$"):
             next(blocks())
@@ -228,6 +243,40 @@ def test_synthesize_reads_a_pipe(tmp_path):
     (tmp_path / "a.mvs").write_bytes(raw)
     assert run_cli("synthesize", tmp_path / "a.mvs", tmp_path / "file.wav") == (0, "", "")
     assert (tmp_path / "pipe.wav").read_bytes() == (tmp_path / "file.wav").read_bytes()
+
+
+def run_cli_on_pipe(raw, command, *rest):
+    """``run_cli(command, PIPE, *rest)`` with ``raw`` fed through an ``os.pipe()`` named by ``/dev/fd``."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(raw)
+        except BrokenPipeError:  # the command stopped reading; its result says why
+            pass
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        return run_cli(command, f"/dev/fd/{read_fd}", *rest)
+    finally:
+        os.close(read_fd)
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("name", ["in.wav", "a.mvs"])
+def test_info_reads_a_pipe_as_it_reads_the_file(tmp_path, name):
+    x = Waveform(np.random.default_rng(3).normal(size=20000) * 0.3, 16000)
+    write_wav(tmp_path / "in.wav", x)
+    assert run_cli("analyze", tmp_path / "in.wav", tmp_path / "a.mvs", "--algo", "dct", "--win", 64, "--hop", 16)[0] == 0
+    raw = (tmp_path / name).read_bytes()
+    assert len(raw) > 1 << 16  # more than a pipe buffer holds
+    code, out, err = run_cli("info", tmp_path / name)
+    assert (code, err) == (0, "") and out.startswith(("format\t", "kind\t"))
+    assert run_cli_on_pipe(raw, "info") == (code, out, err)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,41 @@ def test_analyze_unknown_kind_rejected(rng):
         analyze(x, FrameConfig(16, 4), "mel")
 
 
+def _spectrogram(**fields):
+    """``Spectrogram`` of 3 zero frames at 8/2 over 4 samples, with ``fields`` replaced."""
+    args = dict(kind="dct", data=np.zeros((3, 8)), config=FrameConfig(8, 2), clip=ClipMode.none(),
+                sample_rate=22050, original_length=4)
+    return Spectrogram(**{**args, **fields})
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: analyze(Waveform(np.zeros(400), 22050), FrameConfig(16, 4), []), UnsupportedKindError,
+         f"unknown spectrogram kind []; expected one of {SPECTROGRAM_KINDS}"),
+        (lambda: _spectrogram(kind={}), UnsupportedKindError,
+         f"unknown spectrogram kind {{}}; expected one of {SPECTROGRAM_KINDS}"),
+        (lambda: _spectrogram(clip="none"), InvalidConfigError, "clip must be a ClipMode, got 'none'"),
+        (lambda: _spectrogram(original_length="a"), InvalidInputError,
+         "original_length must be a whole number >= 0, got 'a'"),
+        (lambda: _spectrogram(original_length=4.5), InvalidInputError,
+         "original_length must be a whole number >= 0, got 4.5"),
+        (lambda: _spectrogram(original_length=-1), InvalidInputError,
+         "original_length must be a whole number >= 0, got -1"),
+    ],
+    ids=["analyze-list-kind", "dict-kind", "str-clip", "str-length", "fractional-length", "negative-length"],
+)
+def test_wrong_typed_arguments_are_typed_errors(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_a_whole_float_original_length_is_stored_as_an_int():
+    spec = _spectrogram(original_length=4.0)
+    assert type(spec.original_length) is int and spec.original_length == 4
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 # ---------------------------------------------------------------------------
@@ -434,6 +469,20 @@ def test_analysis_is_bit_exact_to_whole_matrix_oracle(analysis):
     kind, clip, cfg, length, workers, seed = analysis
     x = Waveform(np.random.default_rng(seed).normal(size=length) * 0.3, 16000)
     _assert_analysis_matches_oracle(x, cfg, kind, clip, workers)
+
+
+@pytest.mark.parametrize("kind,clip", KIND_CLIPS, ids=lambda v: v if isinstance(v, str) else v.label())
+def test_analyze_checks_each_value_once_as_it_clips(rng, monkeypatch, kind, clip):
+    def rescan(*args):
+        raise AssertionError("analyze scanned its clipped rows again")
+
+    monkeypatch.setattr("specinv.vocoder._check_rows", rescan)
+    cfg = FrameConfig(36, 8, WindowKind.kaiser(8.5))
+    x = Waveform(rng.normal(size=_length_with(cfg, 2 * _BLOCK_FRAMES + 1)) * 0.3, 16000)
+    _assert_analysis_matches_oracle(x, cfg, kind, clip, 1)
+    spec = analyze(x, cfg, kind, clip)
+    assert (spec.kind, spec.config, spec.clip, spec.sample_rate, spec.original_length) == (kind, cfg, clip, 16000, len(x))
+    assert not spec.data.flags.writeable
 
 
 @pytest.mark.parametrize("kind", ["packed_rfft", "real_fft"])

@@ -19,7 +19,10 @@ an odd window, ``roundtrip --report``, ``metrics``, ``info`` on WAV, MVS1,
 junk and invalid headers, the error lines and every ``--help``.  Last come
 files of several frame blocks: every ``--algo`` x clip at 64/16, through
 ``analyze``, ``synthesize``, ``info`` and ``roundtrip --report``, and five
-of those files with one bad value at the end of their last block.
+of those files with one bad value at the end of their last block.  The
+last calls each meet two faults at once (bad ``--threads`` and a bad file
+or input, a kind with no synthesis path, a WAV shorter than one
+uncentered window), so the manifest pins which one each command reports.
 ``bench`` is timed, so only its help and error lines are run.
 """
 from __future__ import annotations
@@ -247,6 +250,20 @@ def fixtures(run):
         Path(path).write_bytes(patched(raw, len(raw) - 4, "<f", value))
         run("info", path)
         run("synthesize", path, run.out("wav"))
+
+    # which of two faults each pipeline reports first
+    Path("in/multi.mvs").write_bytes(multi["dct", "none"])
+    Path("in/short.wav").write_bytes(wav_bytes(pcm16(np.linspace(-0.5, 0.5, 100)), 16000))
+    for argv in (
+        ("synthesize", "in/multi.mvs", run.out("wav"), "--threads", "0"),
+        ("synthesize", "in/last_nan.mvs", run.out("wav"), "--threads", "0"),
+        ("analyze", "in/empty.wav", run.out("mvs"), "--algo", "dct", "--threads", "0"),
+        ("analyze", a, run.out("mvs"), "--algo", "prft", "--win", "255", "--hop", "64", "--threads", "0"),
+        ("roundtrip", a, run.out("wav"), "--algo", "magnitude", "--win", "64", "--hop", "16"),
+        ("analyze", "in/short.wav", run.out("mvs"), "--algo", "dct", "--win", "256", "--hop", "64", "--no-center"),
+        ("roundtrip", "in/short.wav", run.out("wav"), "--algo", "magnitude", "--win", "256", "--no-center"),
+    ):
+        run(*argv)
 
 
 def main(argv):
