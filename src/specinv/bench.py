@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, MeasurementError, _count, _finite, _whole
 from .signal import FrameConfig, Waveform
-from .vocoder import ClipMode, _spectrum, _synthesis, analyze, synthesize
+from .vocoder import ClipMode, _spectrum, _synthesis, _waveform, analyze, synthesize
 
 __all__ = [
     "BenchSpec",
@@ -137,7 +137,9 @@ def run_bench(spec: BenchSpec, x: Waveform | None = None, clock=time.perf_counte
     stage = {
         "synthesize_only": lambda: synthesize(gram, workers=spec.workers),
         "analyze_only": lambda: analyze(x, spec.config, spec.kind, spec.clip, workers=spec.workers),
-        "roundtrip": lambda: _synthesis(_spectrum(x, spec.config, spec.kind, spec.clip, spec.workers), spec.workers),
+        "roundtrip": lambda: _waveform(
+            _synthesis(_spectrum(x._source(), spec.config, spec.kind, spec.clip, spec.workers), spec.workers)
+        ),
     }[spec.stage]
 
     for _ in range(spec.warmup_runs):

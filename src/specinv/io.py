@@ -4,6 +4,16 @@ WAV support covers RIFF/WAVE files holding PCM16, PCM24, PCM32 or IEEE
 float32 samples.  Integer samples are normalized by full scale (PCM16 by
 32768); multi-channel files are reduced to channel 0 with a warning.
 
+There is one WAV reader and one WAV writer, and both move samples
+_CHUNK_SAMPLES at a time.  The reader walks every chunk header against
+the file size and checks the codec before it reads a sample, then reads
+each chunk of sample frames into one reused buffer and decodes channel 0
+into another: integer PCM in one division by full scale, float32 once
+every channel of the chunk is checked finite.  The writer checks and
+writes the header, which the rate and length alone fix, then encodes each
+chunk in reused buffers and writes it.  read_wav, wav_info and write_wav
+are their collect, drain and whole-array cases.
+
 The MVS1 container is a little-endian, bit-exact interchange format:
 
     offset  size  field
@@ -45,8 +55,13 @@ blocks, ``synthesize`` inverts the blocks it reads, and ``info``
 included, the way ``synthesize`` does.  A file write_spec writes always
 reads back: a tau or beta that is invalid once rounded to float32, a
 payload value beyond float32 range or a header value too wide for its
-field raises InvalidInputError, and no file is left behind.  WAV files
-are still read and written whole.
+field raises InvalidInputError, and no file is left behind.
+
+The CLI streams the WAV side too.  ``analyze`` frames the WAV reader's
+chunks as they come; ``synthesize`` hands the writer the samples the
+rolling overlap-add finishes; ``roundtrip`` does both.  None of them holds
+a waveform-sized array, except ``roundtrip --report``, whose snr_db and
+mcd need the input and the output whole.
 
 Writes go through a temp file in the destination directory followed by an
 atomic rename, so a failed run, even one that fails partway through the
@@ -65,7 +80,7 @@ import warnings
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, UnsupportedCodecError
-from .signal import WINDOW_NAMES, FrameConfig, Waveform, WindowKind, _geometry
+from .signal import _CHUNK_SAMPLES, WINDOW_NAMES, FrameConfig, Waveform, WindowKind, _geometry, _Samples
 from .vocoder import (
     _BLOCK_FRAMES, CLIP_MODES, SPECTROGRAM_KINDS, ClipMode, Spectrogram, _check_metadata, _check_rows, _collect,
     _Stream, expected_bins,
@@ -97,17 +112,23 @@ _WAVE_PCM = 0x0001
 _WAVE_IEEE_FLOAT = 0x0003
 # write_wav encoding -> (format code, bytes per sample)
 _WAV_ENCODINGS = {"pcm16": (_WAVE_PCM, 2), "float32": (_WAVE_IEEE_FLOAT, 4)}
+# RIFF header, fmt chunk and data chunk header of the WAVs write_wav writes
+_WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
+# (format code, bits) read_wav decodes -> the type its samples are read as (PCM24 widened to int32)
+_WAV_DECODE = {(_WAVE_PCM, 16): "<i2", (_WAVE_PCM, 24): "<i4", (_WAVE_PCM, 32): "<i4", (_WAVE_IEEE_FLOAT, 32): "<f4"}
 
 
 class MultiChannelWarning(UserWarning):
     """Raised when a multi-channel WAV is reduced to channel 0."""
 
 
-def _f32(values: np.ndarray, what: str) -> np.ndarray:
-    """``values`` as a C-ordered little-endian float32 array, refusing any that would overflow to inf."""
+def _f32(values: np.ndarray, what: str, out: np.ndarray | None = None) -> np.ndarray:
+    """``values`` as a C-ordered little-endian float32 array (``out``, if given), refusing any that overflow to inf."""
+    out = np.empty(values.shape, "<f4") if out is None else out
     try:
         with np.errstate(over="raise"):
-            return values.astype("<f4", order="C")
+            np.copyto(out, values, casting="same_kind")
+            return out
     except FloatingPointError:
         raise InvalidInputError(f"{what} exceed the float32 range (max {np.finfo(np.float32).max:g})") from None
 
@@ -136,84 +157,98 @@ def _atomic_write(path, chunks) -> None:
 # WAV
 # ---------------------------------------------------------------------------
 
-def _parse_wav(raw: bytes):
-    """Parse RIFF/WAVE bytes into (meta dict, channel-major float64 samples)."""
+def _read_wav(fh) -> tuple[dict, _Samples]:
+    """The one WAV reader: the header metadata of the open binary file ``fh`` and its channel-0 samples.
+
+    Every chunk header is walked and checked against the file's size, and
+    the codec, before any sample is read.  The samples are a stream whose
+    chunks are ``_CHUNK_SAMPLES`` sample frames read into one reused
+    buffer and decoded into another: integer PCM in one division by full
+    scale (PCM24 is first widened to the top three bytes of an int32),
+    float32 once checked finite on every channel.  Any fault is a
+    :class:`FormatError` or :class:`UnsupportedCodecError`.
+    """
+    if not fh.seekable():  # a pipe: its size is known once it is read
+        fh = io.BytesIO(fh.read())
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    raw = fh.read(12)
     if len(raw) < 12:
         raise FormatError(f"not a RIFF file: only {len(raw)} bytes")
     if raw[0:4] != b"RIFF":
         raise FormatError(f"bad RIFF magic {raw[0:4]!r}")
     if raw[8:12] != b"WAVE":
         raise FormatError(f"bad WAVE id {raw[8:12]!r}")
-
-    fmt = None
-    data = None
+    fmt = data = None
     pos = 12
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body_start = pos + 8
-        if body_start + size > len(raw):
-            raise FormatError(
-                f"chunk {chunk_id!r} declares {size} bytes but only "
-                f"{len(raw) - body_start} remain"
-            )
+    while pos + 8 <= size:
+        fh.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
+        if pos + 8 + chunk_size > size:
+            raise FormatError(f"chunk {chunk_id!r} declares {chunk_size} bytes but only {size - pos - 8} remain")
         if chunk_id == b"fmt ":
-            if size < 16:
-                raise FormatError(f"fmt chunk too short ({size} bytes)")
-            fmt = struct.unpack_from("<HHIIHH", raw, body_start)
+            if chunk_size < 16:
+                raise FormatError(f"fmt chunk too short ({chunk_size} bytes)")
+            fmt = struct.unpack("<HHIIHH", fh.read(16))
         elif chunk_id == b"data":
-            data = raw[body_start : body_start + size]
-        pos = body_start + size + (size % 2)  # chunks are word-aligned
+            data = (pos + 8, chunk_size)
+        pos += 8 + chunk_size + chunk_size % 2  # chunks are word-aligned
     if fmt is None:
         raise FormatError("missing fmt chunk")
     if data is None:
         raise FormatError("missing data chunk")
-
     fmt_code, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if channels < 1:
         raise FormatError("fmt chunk declares zero channels")
     if sample_rate < 1:
         raise FormatError("fmt chunk declares a zero sample rate")
-
-    if fmt_code == _WAVE_PCM and bits == 16:
-        width, decode = 2, lambda b: np.frombuffer(b, "<i2").astype(np.float64) / 32768.0
-    elif fmt_code == _WAVE_PCM and bits == 24:
-        width, decode = 3, _decode_pcm24
-    elif fmt_code == _WAVE_PCM and bits == 32:
-        width, decode = 4, lambda b: np.frombuffer(b, "<i4").astype(np.float64) / 2147483648.0
-    elif fmt_code == _WAVE_IEEE_FLOAT and bits == 32:
-        width, decode = 4, lambda b: np.frombuffer(b, "<f4").astype(np.float64)
-    else:
-        raise UnsupportedCodecError(
-            f"unsupported WAV encoding: format code {fmt_code}, {bits} bits"
-        )
-
-    frame_bytes = width * channels
-    if len(data) % frame_bytes:
-        raise FormatError(
-            f"data chunk of {len(data)} bytes is not a whole number of "
-            f"{frame_bytes}-byte sample frames"
-        )
-    flat = decode(data)
-    if not np.isfinite(flat).all():
-        raise FormatError("data chunk contains non-finite float samples")
-    samples = flat.reshape(-1, channels).T
+    if (fmt_code, bits) not in _WAV_DECODE:
+        raise UnsupportedCodecError(f"unsupported WAV encoding: format code {fmt_code}, {bits} bits")
+    data_at, data_size = data
+    frame_bytes = bits // 8 * channels
+    if data_size % frame_bytes:
+        raise FormatError(f"data chunk of {data_size} bytes is not a whole number of {frame_bytes}-byte sample frames")
+    n = data_size // frame_bytes
     meta = {
         "format": "pcm" if fmt_code == _WAVE_PCM else "float",
         "bits": bits,
         "channels": channels,
         "sample_rate": sample_rate,
-        "n_samples": samples.shape[1],
-        "duration_s": samples.shape[1] / sample_rate,
+        "n_samples": n,
+        "duration_s": n / sample_rate,
     }
-    return meta, samples
+
+    def chunks():
+        stored = np.empty((min(n, _CHUNK_SAMPLES), frame_bytes), np.uint8)
+        wide = np.zeros((len(stored), 4), np.uint8)  # PCM24 channel 0, widened to int32
+        out = np.empty(len(stored))
+        fh.seek(data_at)
+        for i in range(0, n, _CHUNK_SAMPLES):
+            frames = stored[: n - i]
+            if fh.readinto(frames) != frames.nbytes:
+                raise FormatError(f"data chunk ended early, in samples {i}..{i + len(frames) - 1}")
+            if bits == 24:
+                wide[: len(frames), 1:] = frames[:, :3]
+                frames = wide[: len(frames)]
+            values = frames.view(_WAV_DECODE[fmt_code, bits])
+            if fmt_code == _WAVE_IEEE_FLOAT:
+                if not np.isfinite(values).all():
+                    raise FormatError("data chunk contains non-finite float samples")
+                np.copyto(out[: len(frames)], values[:, 0])
+            else:
+                np.divide(values[:, 0], 2.0 ** (8 * values.itemsize - 1), out=out[: len(frames)])
+            yield out[: len(frames)]
+
+    return meta, _Samples(sample_rate, n, chunks())
 
 
-def _decode_pcm24(b: bytes) -> np.ndarray:
-    u = np.frombuffer(b, np.uint8).reshape(-1, 3).astype(np.int64)
-    val = u[:, 0] | (u[:, 1] << 8) | (u[:, 2] << 16)
-    val = (val ^ 0x800000) - 0x800000  # sign extension
-    return val.astype(np.float64) / 8388608.0
+def _read_mono(fh) -> _Samples:
+    """The channel-0 samples of the open WAV file ``fh``, with :func:`read_wav`'s warning when it has more."""
+    meta, x = _read_wav(fh)
+    if meta["channels"] > 1:
+        message = f"{fh.name}: {meta['channels']} channels; using channel 0 only"
+        warnings.warn(message, MultiChannelWarning, stacklevel=3)
+    return x
 
 
 def read_wav(path) -> Waveform:
@@ -221,55 +256,88 @@ def read_wav(path) -> Waveform:
 
     Raises ``FileNotFoundError`` for a missing file, :class:`FormatError`
     for malformed RIFF data and :class:`UnsupportedCodecError` for
-    encodings outside {PCM16, PCM24, PCM32, float32}.
+    encodings outside {PCM16, PCM24, PCM32, float32}.  This is the one WAV
+    reader with its chunks landing in one array.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    meta, samples = _parse_wav(raw)
-    if meta["channels"] > 1:
-        warnings.warn(
-            f"{path}: {meta['channels']} channels; using channel 0 only",
-            MultiChannelWarning,
-            stacklevel=2,
-        )
-    return Waveform(samples[0], meta["sample_rate"])
+        x = _read_mono(fh)
+        samples = np.empty(x.length)
+        for i, chunk in zip(range(0, x.length, _CHUNK_SAMPLES), x.chunks):
+            samples[i : i + len(chunk)] = chunk
+    return Waveform(samples, x.sample_rate)
 
 
 def wav_info(path) -> dict:
     """Header metadata of a WAV file without channel reduction."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    meta, _ = _parse_wav(raw)
+        return _wav_info(fh)
+
+
+def _wav_info(fh) -> dict:
+    """:func:`wav_info` of the open binary file ``fh``: its header, once every sample is read and checked."""
+    meta, x = _read_wav(fh)
+    for _ in x.chunks:
+        pass
     return meta
+
+
+def _write_wav(path, x: _Samples, encoding: str) -> None:
+    """The one WAV writer: the header, which ``x``'s rate and length fix, then its samples, encoded.
+
+    Every header check runs before any sample is encoded.  Samples are
+    encoded ``_CHUNK_SAMPLES`` at a time in reused buffers and written
+    through the atomic temp file, which a failure partway through removes.
+    The samples are finite: those of a :class:`Waveform`, or synthesis of
+    float32-range MVS1 values or of WAV samples, neither of which can
+    overflow float64.
+    """
+    if encoding not in _WAV_ENCODINGS:
+        raise InvalidInputError(f"unknown encoding {encoding!r}; use {' or '.join(map(repr, _WAV_ENCODINGS))}")
+    fmt_code, block_align = _WAV_ENCODINGS[encoding]
+    byte_rate = x.sample_rate * block_align
+    data_size = x.length * block_align
+    # The byte rate bounds the sample-rate field and the RIFF size bounds the data size.
+    for field, value in (("byte rate", byte_rate), ("RIFF size", 36 + data_size)):
+        if value > 0xFFFFFFFF:
+            raise InvalidInputError(f"WAV {field} {value} does not fit in 32 bits")
+    header = _WAV_HEADER.pack(
+        b"RIFF", 36 + data_size, b"WAVE", b"fmt ", 16, fmt_code, 1, x.sample_rate, byte_rate, block_align,
+        8 * block_align, b"data", data_size,
+    )
+
+    def encoded():
+        out = np.empty(_CHUNK_SAMPLES, "<i2" if encoding == "pcm16" else "<f4")
+        scaled, rounded = np.empty(_CHUNK_SAMPLES), np.empty(_CHUNK_SAMPLES)
+        for chunk in x.chunks:
+            for i in range(0, len(chunk), _CHUNK_SAMPLES):
+                samples = chunk[i : i + _CHUNK_SAMPLES]
+                c = len(samples)
+                if encoding == "float32":
+                    yield _f32(samples, "WAV samples", out[:c])
+                else:  # clamp, scale by 32767 and round half away from zero
+                    t, r = scaled[:c], rounded[:c]
+                    np.clip(samples, -1.0, 1.0, out=t)
+                    t *= 32767.0
+                    np.abs(t, out=r)
+                    r += 0.5
+                    np.floor(r, out=r)
+                    np.copysign(r, t, out=r)
+                    np.copyto(out[:c], r, casting="unsafe")
+                    yield out[:c]
+
+    _atomic_write(path, itertools.chain((header,), encoded()))
 
 
 def write_wav(path, x: Waveform, encoding: str = "float32") -> None:
     """Write a mono waveform as PCM16 or float32 WAV.
 
     pcm16 clamps to [-1, 1] and scales by 32767 with round-half-away-from-
-    zero; float32 stores samples verbatim.
+    zero; float32 stores samples verbatim.  This is the one WAV writer fed
+    ``x.samples``.
     """
-    if encoding not in _WAV_ENCODINGS:
-        raise InvalidInputError(f"unknown encoding {encoding!r}; use {' or '.join(map(repr, _WAV_ENCODINGS))}")
-    fmt_code, block_align = _WAV_ENCODINGS[encoding]
-    byte_rate = x.sample_rate * block_align
-    data_size = len(x.samples) * block_align
-    # The byte rate bounds the sample-rate field and the RIFF size bounds the data size.
-    for field, value in (("byte rate", byte_rate), ("RIFF size", 36 + data_size)):
-        if value > 0xFFFFFFFF:
-            raise InvalidInputError(f"WAV {field} {value} does not fit in 32 bits")
-    if encoding == "pcm16":
-        clamped = np.clip(x.samples, -1.0, 1.0) * 32767.0
-        payload = np.copysign(np.floor(np.abs(clamped) + 0.5), clamped).astype("<i2", order="C")
-    else:
-        payload = _f32(x.samples, "WAV samples")
-
-    header = b"RIFF" + struct.pack("<I", 36 + data_size) + b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, fmt_code, 1, x.sample_rate, byte_rate, block_align, 8 * block_align
-    )
-    header += b"data" + struct.pack("<I", data_size)
-    _atomic_write(path, (header, payload))
+    if not isinstance(x, Waveform):
+        raise InvalidInputError(f"write_wav needs a Waveform, got {type(x).__name__}")
+    _write_wav(path, x._source(), encoding)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def _cepstra(x: Waveform, cfg: McdConfig, fb: np.ndarray) -> np.ndarray:
     frame_cfg = FrameConfig(cfg.fft_win, cfg.fft_hop, WindowKind.hann(), centered=True)
     # x is a checked Waveform; clip none is only analyze's one finite scan, for rfft overflow.
     # The product stays one whole matmul: blocking it changes the BLAS bits.
-    mag = _collect(_spectrum(x, frame_cfg, "magnitude", ClipMode(), 1)).data
+    mag = _collect(_spectrum(x._source(), frame_cfg, "magnitude", ClipMode(), 1)).data
     mel = np.log(np.maximum(mag @ fb.T, LOG_FLOOR))
     return dct2(mel)[:, 1 : cfg.n_cepstra + 1]
 

@@ -10,6 +10,7 @@ not vanishingly small.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,10 @@ OLA_EPS = 1e-8
 
 # Positions are the MVS1 window codes (see io.py): append, never reorder.
 WINDOW_NAMES = ("hann", "kaiser", "boxcar")
+
+# Samples the WAV reader and writer move per step, and about what the
+# rolling overlap-add finishes between two hand-offs (512 KB as float64).
+_CHUNK_SAMPLES = 1 << 16
 
 
 def parse_name_value(cls, text: str, names, keyed: str, what: str, missing: str, bad: str):
@@ -163,6 +168,24 @@ class Waveform:
         """Length in seconds."""
         return len(self) / self.sample_rate
 
+    def _source(self) -> "_Samples":
+        """This waveform as a sample stream whose one chunk is ``samples``."""
+        return _Samples(self.sample_rate, len(self), (self.samples,))
+
+
+class _Samples(NamedTuple):
+    """A mono waveform's rate and length, and its samples as ``chunks``: the waveform side of ``vocoder._Stream``.
+
+    ``chunks`` yields float64 arrays, in order, ``length`` samples in all,
+    and is iterated once; a chunk may be a reused buffer, valid only until
+    the next.  Its sources are a :class:`Waveform`, the WAV reader and
+    synthesis; its sinks are analysis, the WAV writer and collection.
+    """
+
+    sample_rate: int
+    length: int
+    chunks: Iterable[np.ndarray]
+
 
 @dataclass(frozen=True, eq=False)
 class FrameMatrix:
@@ -246,25 +269,42 @@ def _check_frame_count(n_frames: int, config: FrameConfig, original_length: int)
         )
 
 
-def _frame_blocks(x: Waveform, config: FrameConfig, block: int, out: np.ndarray | None = None):
-    """Yield ``(i, frames)``: frames ``i .. i + len(frames) - 1`` of ``x``, windowed, ``block`` at a time.
+def _frame_blocks(chunks, length: int, config: FrameConfig, block: int, out: np.ndarray | None = None):
+    """Yield ``(i, frames)``: frames ``i .. i + len(frames) - 1`` of a signal, windowed, ``block`` at a time.
 
     The one framing engine, on the rule :func:`frame_signal` documents.  The
-    signal is padded once; each block is windowed from a strided view of it
-    straight into ``out[i : i + block]`` when ``out`` (one row per frame) is
-    given, else into one ``(block, win)`` buffer that every block reuses.
+    signal is the ``length`` samples ``chunks`` yields in order.  It is
+    framed from a rolling window of the padded signal one block of frames
+    wide: each block keeps the ``win - hop`` samples it shares with the one
+    before and reads the rest from ``chunks``.  The block's frames are copied
+    out of a strided view of that window into ``out[i : i + block]`` when
+    ``out`` (one row per frame) is given, else into one ``(block, win)``
+    buffer that every block reuses, and windowed there in place.
     """
-    win = config.win_length
-    n, pad, span = _geometry(config, len(x))
-    kept = x.samples[: span - pad]
-    padded = np.zeros(span)
-    padded[pad : pad + kept.shape[0]] = kept
-    view = np.lib.stride_tricks.sliding_window_view(padded, win)[:: config.hop_length]
+    win, hop = config.win_length, config.hop_length
+    n, pad, span = _geometry(config, length)
     window = make_window(config.window, win)
-    buf = np.empty((min(block, n), win)) if out is None else None
+    padded = np.zeros((min(block, n) - 1) * hop + win)
+    view = np.lib.stride_tricks.sliding_window_view(padded, win)[::hop]
+    buf = np.empty(view.shape) if out is None else None
+    chunks, piece = iter(chunks), padded[:0]
+    filled, left = pad, min(span - pad, length)  # padded[:filled] is read; left samples are still to read
     for i in range(0, n, block):
-        rows = view[i : i + block]
-        yield i, np.multiply(rows, window, out=buf[: len(rows)] if out is None else out[i : i + block])
+        if i:  # the last block was whole: keep what it shares with this one
+            filled = win - hop
+            padded[:filled] = padded[block * hop : block * hop + filled]
+        need = (min(block, n - i) - 1) * hop + win
+        while filled < need and left:
+            if not len(piece):
+                piece = next(chunks)
+            take = min(len(piece), need - filled, left)
+            padded[filled : filled + take] = piece[:take]
+            piece, filled, left = piece[take:], filled + take, left - take
+        padded[filled:need] = 0.0  # past the signal: the trailing pad
+        frames = buf[: n - i] if out is None else out[i : i + block]
+        np.copyto(frames, view[: len(frames)])
+        frames *= window
+        yield i, frames
 
 
 def frame_signal(x: Waveform, config: FrameConfig) -> FrameMatrix:
@@ -278,7 +318,7 @@ def frame_signal(x: Waveform, config: FrameConfig) -> FrameMatrix:
     at least one window long.  This is the single-block case of the engine
     analysis runs on.
     """
-    ((_, frames),) = _frame_blocks(x, config, _geometry(config, len(x))[0])
+    ((_, frames),) = _frame_blocks((x.samples,), len(x), config, _geometry(config, len(x))[0])
     return FrameMatrix(frames, config, len(x), x.sample_rate)
 
 
@@ -298,41 +338,66 @@ def _ola(out: np.ndarray, rows: np.ndarray, hop: int) -> None:
         out[k * hop : (k + n) * hop].reshape(n, hop)[:, : win - k * hop] += rows[:, k * hop : (k + 1) * hop]
 
 
-def _overlap_add(blocks, config: FrameConfig, original_length: int) -> np.ndarray:
-    """Normalized overlap-add of the frames ``blocks`` yields, in frame order, as samples.
+def _overlap_add(blocks, config: FrameConfig, original_length: int, chunk: int | None = None):
+    """Yield the normalized overlap-add of the frames ``blocks`` yields, in frame order, as finished samples.
 
-    The one synthesis engine: each block of rows is added into one
+    The one synthesis engine: each block of rows is added into an
     accumulator at its frame offset, so only a block of frames is ever
     held, and blocks arriving in ascending order keep every sample's frames
     in ascending order.  ``original_length`` fixes the frame count, which
-    the blocks must cover exactly.
+    the blocks must cover exactly; no block may be longer than the first.
+
+    A sample is final once every frame that reaches it is added.  With
+    ``chunk`` given the accumulator rolls: whenever the next block would
+    not fit, the samples before that block's first frame are divided, handed
+    out as one array (at least about ``chunk`` samples, valid only until
+    the next) and dropped, and the ``win - hop`` samples the later frames
+    still reach move to the front.  With ``chunk`` None the accumulator
+    holds the whole output, which is yielded as one array once at the end.
 
     The window sum is not built at full length.  Where all ``K =
     ceil(win/hop)`` frames that can reach a sample exist (samples ``q*hop
     + r`` with ``K - 1 <= q <= n - 1``), the sample sums the same window
-    values in the same order, so the sum repeats with period ``hop``.  One overlap-add of
-    ``min(n, 2K + 1)`` window rows gives the head before that region, one
-    period of it and the last ``win - hop`` samples; the accumulator is
-    divided by them in place, the period tiled over the middle.
+    values in the same order, so the sum repeats with period ``hop``.  One
+    overlap-add of ``min(n, 2K + 1)`` window rows gives the head before
+    that region, one period of it and the last ``win - hop`` samples;
+    finished samples are divided by them in place, the period tiled over
+    the middle.
     """
     win, hop = config.win_length, config.hop_length
     n, pad, span = _geometry(config, original_length)
-    # Uncentered framing can leave a tail no frame covers; it stays +0.0, as 0 / OLA_EPS is.
-    acc = np.zeros(max(span, pad + original_length) + hop)
-    first = 0
-    for rows in blocks:
-        _ola(acc[first * hop :], rows, hop)
-        first += rows.shape[0]
+    end = max(span, pad + original_length)  # uncentered framing can leave a tail no frame covers; it stays +0.0
     k = -(-win // hop)
     m = min(n, 2 * k + 1)
     wsum = np.zeros((m - 1) * hop + win + hop)
     _ola(wsum, np.broadcast_to(make_window(config.window, win), (m, win)), hop)
     np.maximum(wsum, OLA_EPS, out=wsum)
     head = min(k - 1, n) * hop  # fewer than k frames: no periodic middle, head and tail meet
-    acc[:head] /= wsum[:head]
-    acc[head : n * hop].reshape(-1, hop)[:] /= wsum[head : head + hop]
-    acc[n * hop : span] /= wsum[m * hop : (m - 1) * hop + win]
-    return acc[pad : pad + original_length]
+
+    def finished(stop):
+        """The output samples among padded samples ``[base, stop)``, once they are divided by the window sum."""
+        lo = max(base, min(stop, head))
+        acc[: lo - base] /= wsum[base:lo]
+        hi = max(lo, min(stop, n * hop))
+        acc[lo - base : hi - base].reshape(-1, hop)[:] /= wsum[head : head + hop]
+        lo, hi = hi, max(hi, min(stop, span))
+        acc[lo - base : hi - base] /= wsum[lo - (n - m) * hop : hi - (n - m) * hop]
+        lo = max(pad, base)
+        return acc[lo - base : max(lo, min(stop, pad + original_length)) - base]
+
+    acc, base, done = None, 0, 0  # acc[0] is padded sample base; done frames are added
+    for rows in blocks:
+        room = rows.shape[0] * hop + win  # what _ola reaches from the block's first frame
+        if acc is None:
+            acc = np.zeros(end + hop if chunk is None else min(end + hop, chunk + room))
+        elif done * hop - base + room > len(acc):
+            yield finished(done * hop)
+            shift, base = done * hop - base, done * hop
+            acc[: win - hop] = acc[shift : shift + win - hop]
+            acc[win - hop : shift + win - hop] = 0.0
+        _ola(acc[done * hop - base :], rows, hop)
+        done += rows.shape[0]
+    yield finished(end)
 
 
 def overlap_add(frames: FrameMatrix) -> Waveform:
@@ -346,5 +411,5 @@ def overlap_add(frames: FrameMatrix) -> Waveform:
     ``original_length`` samples.  This is the single-block case of the
     engine synthesis runs on.
     """
-    y = _overlap_add((frames.frames,), frames.config, frames.original_length)
+    (y,) = _overlap_add((frames.frames,), frames.config, frames.original_length)
     return Waveform(y, frames.sample_rate)

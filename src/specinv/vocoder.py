@@ -21,7 +21,7 @@ from .errors import (
     InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _count, _finite, _whole,
 )
 from .signal import (
-    FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _overlap_add, parse_name_value,
+    FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _overlap_add, _Samples, parse_name_value,
 )
 
 __all__ = [
@@ -270,7 +270,9 @@ class _Stream(NamedTuple):
 
     Every pipeline is a source of one (``_spectrum``, ``io._read_spec``,
     ``Spectrogram._stream``) piped into a sink (``_synthesis``,
-    ``io._write_spec``, ``_collect``).  The source has checked every
+    ``io._write_spec``, ``_collect``); ``signal._Samples`` is the same on
+    the waveform side, where ``_spectrum`` is a sink and ``_synthesis`` a
+    source.  The source has checked every
     metadata rule :class:`Spectrogram` applies before it returns; each row
     ``blocks(out=None)`` yields, in frame order, is checked (or clipped) as
     Spectrogram's value rules require, in ``out``'s rows when ``out`` (one
@@ -286,12 +288,13 @@ class _Stream(NamedTuple):
     blocks: Callable[..., Iterator[np.ndarray]]
 
 
-def _spectrum(x: Waveform, config: FrameConfig, kind: str, clip: ClipMode, workers) -> _Stream:
-    """The clipped ``kind`` spectrogram of ``x`` as a stream, once :func:`analyze`'s preconditions hold.
+def _spectrum(x: _Samples, config: FrameConfig, kind: str, clip: ClipMode, workers) -> _Stream:
+    """The clipped ``kind`` spectrogram of the samples ``x`` as a stream, once :func:`analyze`'s preconditions hold.
 
-    The one analysis loop.  Each block is windowed straight into its rows,
-    transformed there and clipped while it is still in cache, so no
-    whole-signal frame matrix or transform output is built.  A kind with
+    The one analysis loop.  Each block is framed from ``x.chunks`` as they
+    come, windowed straight into its rows, transformed there and clipped
+    while it is still in cache, so no whole-signal frame matrix, padded
+    copy or transform output is built.  A kind with
     fewer bins than the window is framed into a reused buffer instead and
     transformed into ``out``'s rows or that buffer's leading columns.
     Rows are transformed and clipped independently, so the bits are those
@@ -299,17 +302,17 @@ def _spectrum(x: Waveform, config: FrameConfig, kind: str, clip: ClipMode, worke
     each block and leaves it as its clip mode requires.
     """
     workers = _count("workers", workers, 1)
-    if len(x) == 0:
+    if x.length == 0:
         raise InvalidInputError("cannot analyze an empty waveform")
     row = _check_kind_rules(kind, config, clip)
-    _geometry(config, len(x))
+    _geometry(config, x.length)
 
     def blocks(out=None):
-        for i, frames in _frame_blocks(x, config, _BLOCK_FRAMES, None if row.half_spectrum else out):
+        for i, frames in _frame_blocks(x.chunks, x.length, config, _BLOCK_FRAMES, None if row.half_spectrum else out):
             rows = frames if out is None or not row.half_spectrum else out[i : i + len(frames)]
             yield _clip(row.forward(frames, rows, workers), clip)
 
-    return _Stream(kind, config, clip, x.sample_rate, len(x), blocks)
+    return _Stream(kind, config, clip, x.sample_rate, x.length, blocks)
 
 
 def _collect(stream: _Stream) -> Spectrogram:
@@ -355,7 +358,7 @@ def analyze(
     """
     if not isinstance(clip, ClipMode):
         clip = ClipMode.parse(clip)
-    return _collect(_spectrum(x, config, kind, clip, workers))
+    return _collect(_spectrum(x._source(), config, kind, clip, workers))
 
 
 def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
@@ -368,17 +371,19 @@ def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
     spectrograms cannot be inverted here -- that would require the phase
     estimation this library exists to avoid.
     """
-    return _synthesis(spec._stream(), workers)
+    return _waveform(_synthesis(spec._stream(), workers))
 
 
-def _synthesis(stream: _Stream, workers) -> Waveform:
-    """The waveform of ``stream``: the one synthesis pipeline.
+def _synthesis(stream: _Stream, workers, chunk: int | None = None) -> _Samples:
+    """The samples of ``stream``: the one synthesis pipeline.
 
-    Each block is inverted and handed straight to ``_overlap_add``.  A kind
-    with no synthesis path, or bad ``workers``, is refused only once the
-    blocks are drained, so a fault the stream's source finds (a bad MVS1
-    payload value, say) is reported first, as it is when the whole
-    spectrogram is read or analyzed before synthesis.
+    Each block is inverted and handed straight to ``_overlap_add``, whose
+    finished samples are the chunks: rolling ones of about ``chunk``
+    samples, or with ``chunk`` None the whole output as one.  A kind with
+    no synthesis path, or bad ``workers``, is refused only once the blocks
+    are drained, so a fault the stream's source finds (a bad MVS1 payload
+    value, say) is reported first, as it is when the whole spectrogram is
+    read or analyzed before synthesis.
     """
     inverse = KINDS[stream.kind].inverse
     blocks = stream.blocks()
@@ -393,5 +398,12 @@ def _synthesis(stream: _Stream, workers) -> Waveform:
         for _ in blocks:
             pass
         raise
-    y = _overlap_add((inverse(rows, workers=workers) for rows in blocks), stream.config, stream.original_length)
-    return Waveform(y, stream.sample_rate)
+    frames = (inverse(rows, workers=workers) for rows in blocks)
+    chunks = _overlap_add(frames, stream.config, stream.original_length, chunk)
+    return _Samples(stream.sample_rate, stream.original_length, chunks)
+
+
+def _waveform(y: _Samples) -> Waveform:
+    """The :class:`Waveform` of synthesis with no ``chunk``, whose one chunk is the whole output."""
+    (samples,) = y.chunks
+    return Waveform(samples, y.sample_rate)

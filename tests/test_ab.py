@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -72,3 +73,52 @@ def test_summarize_of_an_a_a_run_reads_ratio_one():
 def test_summarize_without_a_complete_pair_has_no_metrics():
     out = ab.summarize([_run(0, "parent", 1.0, 1.0)], {"synth_khz.dct": "higher"})
     assert out["pairs"] == 0 and out["metrics"] == {}
+
+
+def test_summarize_leads_each_metric_with_the_paired_ratio():
+    runs = [_run(i, side, 100.0 + i, 50.0) for i in range(3) for side in ab.SIDES]
+    khz = ab.summarize(runs, {"synth_khz.dct": "higher"})["metrics"]["synth_khz.dct"]
+    assert list(khz)[:4] == ["ratio_median", "ratio_interval", "interval_coverage", "change_better_pairs"]
+
+
+def _drifting_runs(slowdown, noise):
+    """Ten pairs where the change is 10% faster, the machine slows by ``slowdown`` from pair 4 on,
+    and each run's speed is off by up to ``noise`` (alternating sign)."""
+    runs = []
+    for i in range(10):
+        level = 100.0 / (slowdown if i >= 4 else 1.0)
+        jitter = 1.0 + noise * (-1) ** i
+        runs += [_run(i, "parent", level * jitter, 50.0), _run(i, "change", level * 1.1 / jitter, 50.0 * jitter)]
+    return runs
+
+
+def test_summarize_flags_a_run_whose_pairs_drift_more_than_they_differ():
+    metrics = ab.summarize(_drifting_runs(2.5, 0.02), {"synth_khz.dct": "higher"})["metrics"]
+    khz = metrics["synth_khz.dct"]
+    # each pair's geometric mean cancels the jitter, so the pairs spread by the slowdown alone
+    assert khz["drift"] and khz["pair_spread"] == pytest.approx(2.5)
+    assert khz["ratio_spread"] == pytest.approx((1.02 / 0.98) ** 2)
+    # the paired ratio still reads the change's 10%
+    assert khz["ratio_median"] == pytest.approx(1.1, rel=0.01) and khz["change_better_pairs"] == 10
+
+
+def test_summarize_does_not_flag_a_steady_run():
+    runs = _drifting_runs(1.0, 0.02)
+    metrics = ab.summarize(runs, {"synth_khz.dct": "higher", "peak_rss_mb": "lower"})["metrics"]
+    assert not any(m["drift"] for m in metrics.values())
+    assert metrics["peak_rss_mb"]["ratio_spread"] == pytest.approx(1.02 / 0.98)
+
+
+def test_drift_flags_the_committed_run_whose_machine_slowed_midway():
+    # In BENCH_10.json the machine slowed 2.3-2.8x from the second run of dense pair 4 on.
+    record = json.loads((Path(__file__).parents[1] / "BENCH_10.json").read_text())
+    for workload, summary in record["workloads"].items():
+        better = {name: m["better"] for name, m in summary["metrics"].items()}
+        runs = [
+            {"pair": i, "side": side, "failed": 0,
+             "end_to_end": {name: m[side][i] for name, m in summary["metrics"].items()}}
+            for i in range(summary["pairs"]) for side in ab.SIDES
+        ]
+        drift = {name for name, m in ab.summarize(runs, better)["metrics"].items() if m["drift"]}
+        kinds = {name for name in better if name.endswith("_khz") or "_khz." in name}
+        assert drift == (kinds | {"setup_s"} if workload == "dense" else set()), workload

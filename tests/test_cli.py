@@ -310,10 +310,10 @@ def test_synthesize_float32_overflow_is_input_error(tmp_path, capsys):
     ids=lambda v: v if isinstance(v, str) else type(v).__name__,
 )
 def test_error_category_is_one_line(tmp_path, wav_path, capsys, monkeypatch, exc, category):
-    def fail(path):
+    def fail(fh):
         raise exc
 
-    monkeypatch.setattr("specinv.io.read_wav", fail)
+    monkeypatch.setattr("specinv.io._read_mono", fail)  # what analyze reads its input WAV with
     out = tmp_path / "out.mvs"
     assert dispatch(["analyze", str(wav_path), str(out), "--algo", "dct"]) == 1
     assert capsys.readouterr().err == f"error: {category}: {exc}\n"

@@ -5,7 +5,6 @@ import struct
 import tempfile
 import warnings
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,10 +239,13 @@ def _address_space_capped(extra=1 << 30):
 
 @pytest.mark.parametrize("encoding,width", [("pcm16", 2), ("float32", 4)])
 def test_write_wav_rejects_data_beyond_u32(tmp_path, encoding, width):
-    # write_wav reads only .samples and .sample_rate, so a zero-stride view
-    # stands in for a signal whose payload would not fit the RIFF size field.
+    # A Waveform around a zero-stride view stands in for a signal whose payload
+    # would not fit the RIFF size field; it skips the constructor, whose finite
+    # scan would allocate a mask as long as the signal.
     n = (2**32 - 36) // width + 1
-    huge = SimpleNamespace(samples=np.broadcast_to(np.float64(0.0), (n,)), sample_rate=8000)
+    huge = object.__new__(Waveform)
+    object.__setattr__(huge, "samples", np.broadcast_to(np.float64(0.0), (n,)))
+    object.__setattr__(huge, "sample_rate", 8000)
     with _address_space_capped():
         with pytest.raises(InvalidInputError, match=f"WAV RIFF size {36 + n * width} does not fit"):
             write_wav(tmp_path / "a.wav", huge, encoding=encoding)

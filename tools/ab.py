@@ -11,11 +11,15 @@ its own ``src``.  Every run lasts the ``run_seconds`` that
 ``BENCHMARK.json`` sets.  Pair order alternates, parent first in even pairs
 and change first in odd ones (ABBA), so a drift of the machine's speed over
 the run falls on both sides alike.  Per workload and end-to-end metric the
-output holds both sides' medians, the parent's interquartile range, how many
-pairs the change won, and the median of the per-pair change/parent ratios
-with a sign-test interval: the distribution-free interval for a median
-between two order statistics of the ratios, with its exact binomial
-coverage.  Provenance records the interpreter and library versions the
+output leads with the median of the per-pair change/parent ratios and its
+sign-test interval (the distribution-free interval for a median between
+two order statistics of the ratios, with its exact binomial coverage), then
+how many pairs the change won.  It then flags drift: a run whose pair-to-pair
+spread (the quartile ratio of each pair's geometric mean) is more than
+``DRIFT_FACTOR`` times its within-pair spread (the quartile ratio of the
+ratios), on the log scale.
+Under drift the machine's speed, not the code, sets the unpaired numbers
+that follow: both sides' medians and the parent's interquartile range.  Provenance records the interpreter and library versions the
 workers report, the CPU count, ``os.getloadavg()`` before and after, and the
 git commit of each checkout with whether its files differ from it.  Passing
 the same directory twice is an A/A run, which measures the noise floor.  The
@@ -36,6 +40,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 CONFIDENCE = 0.95  # sign-test coverage the ratio interval aims for
+DRIFT_FACTOR = 3.0  # pair-to-pair over within-pair spread, in log terms, that flags drift
 
 
 def run_order(pairs: int) -> list[tuple[int, str]]:
@@ -83,15 +88,20 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         low, high, cover = sign_interval(ratios)
         quartiles = statistics.quantiles(values["parent"], n=4) if len(pairs) > 1 else (0.0, 0.0, 0.0)
         wins = sum((c > a) if direction == "higher" else (c < a) for a, c in zip(values["parent"], values["change"]))
+        levels = [math.sqrt(a * c) for a, c in zip(values["parent"], values["change"])]
+        pair_spread, ratio_spread = _spread(levels), _spread(ratios)
         metrics[name] = {
-            "better": direction,
-            "parent_median": statistics.median(values["parent"]),
-            "change_median": statistics.median(values["change"]),
-            "parent_iqr": quartiles[2] - quartiles[0],
             "ratio_median": statistics.median(ratios),
             "ratio_interval": [low, high],
             "interval_coverage": cover,
             "change_better_pairs": wins,
+            "better": direction,
+            "pair_spread": pair_spread,
+            "ratio_spread": ratio_spread,
+            "drift": math.log(pair_spread) > DRIFT_FACTOR * math.log(ratio_spread),
+            "parent_median": statistics.median(values["parent"]),
+            "change_median": statistics.median(values["change"]),
+            "parent_iqr": quartiles[2] - quartiles[0],
             "parent": values["parent"],
             "change": values["change"],
         }
@@ -101,6 +111,18 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         "failed_runs": sum(not r["end_to_end"] for r in runs),
         "metrics": metrics,
     }
+
+
+def _spread(values) -> float:
+    """The ratio of the upper to the lower quartile of positive ``values``: 1.0 when they agree.
+
+    Quartiles, not the extremes, so one pair caught by a change of the
+    machine's speed between its two runs does not set it.
+    """
+    if len(values) < 2:
+        return 1.0
+    low, _, high = statistics.quantiles([math.log(v) for v in values], n=4)
+    return math.exp(high - low)
 
 
 def _git_state(path: Path) -> dict | None:
@@ -178,8 +200,9 @@ def main(argv=None) -> int:
         print(f"{workload}: {summary['pairs']} pairs, failed ops {summary['failed_ops']}")
         for name, m in summary["metrics"].items():
             low, high = m["ratio_interval"]
+            drift = f"  DRIFT: pairs spread x{m['pair_spread']:.2f}, ratios x{m['ratio_spread']:.2f}" if m["drift"] else ""
             print(f"  {name:<26} ratio {m['ratio_median']:.3f} [{low:.3f}, {high:.3f}] "
-                  f"({m['interval_coverage']:.1%})  better in {m['change_better_pairs']}/{summary['pairs']}")
+                  f"({m['interval_coverage']:.1%})  better in {m['change_better_pairs']}/{summary['pairs']}{drift}")
     return 0
 
 
