@@ -318,11 +318,9 @@ def _write_wav(path, x: _Samples, encoding: str) -> None:
                     t, r = scaled[:c], rounded[:c]
                     np.clip(samples, -1.0, 1.0, out=t)
                     t *= 32767.0
-                    np.abs(t, out=r)
-                    r += 0.5
-                    np.floor(r, out=r)
-                    np.copysign(r, t, out=r)
-                    np.copyto(out[:c], r, casting="unsafe")
+                    np.copysign(0.5, t, out=r)
+                    r += t  # sign(t) * (|t| + 0.5), exactly: addition is symmetric in sign
+                    np.copyto(out[:c], r, casting="unsafe")  # truncates toward zero
                     yield out[:c]
 
     _atomic_write(path, itertools.chain((header,), encoded()))
