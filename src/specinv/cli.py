@@ -113,14 +113,6 @@ def _frame_config(args) -> FrameConfig:
     )
 
 
-def _command(sub, name, summary, description, *operands):
-    """Add the subcommand ``name``, with one positional argument per ``(dest, metavar, help)`` in ``operands``."""
-    p = sub.add_parser(name, help=summary, description=description)
-    for dest, metavar, text in operands:
-        p.add_argument(dest, metavar=metavar, help=text)
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="specinv",
@@ -128,20 +120,33 @@ def build_parser() -> argparse.ArgumentParser:
         "quality metrics and benchmarking.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    wav_in, wav_out = ("input", "IN.wav", "input WAV file"), ("output", "OUT.wav", "output WAV file")
 
-    p = _command(sub, "analyze", "WAV in, MVS1 spectrogram out", "Analyze a WAV file into an MVS1 spectrogram file.",
-                 wav_in, ("output", "OUT.mvs", "output MVS1 spectrogram file"))
+    p = sub.add_parser(
+        "analyze",
+        help="WAV in, MVS1 spectrogram out",
+        description="Analyze a WAV file into an MVS1 spectrogram file.",
+    )
+    p.add_argument("input", metavar="IN.wav", help="input WAV file")
+    p.add_argument("output", metavar="OUT.mvs", help="output MVS1 spectrogram file")
     _add_pipeline_flags(p)
 
-    mvs_in = ("input", "IN.mvs", "input MVS1 spectrogram file")
-    p = _command(sub, "synthesize", "MVS1 spectrogram in, WAV out",
-                 "Synthesize a waveform from an MVS1 spectrogram file.", mvs_in, wav_out)
+    p = sub.add_parser(
+        "synthesize",
+        help="MVS1 spectrogram in, WAV out",
+        description="Synthesize a waveform from an MVS1 spectrogram file.",
+    )
+    p.add_argument("input", metavar="IN.mvs", help="input MVS1 spectrogram file")
+    p.add_argument("output", metavar="OUT.wav", help="output WAV file")
     _add_encoding_flag(p)
     _add_threads_flag(p)
 
-    p = _command(sub, "roundtrip", "analyze then synthesize in one step",
-                 "Run a WAV file through analysis and synthesis, writing the reconstruction.", wav_in, wav_out)
+    p = sub.add_parser(
+        "roundtrip",
+        help="analyze then synthesize in one step",
+        description="Run a WAV file through analysis and synthesis, writing the reconstruction.",
+    )
+    p.add_argument("input", metavar="IN.wav", help="input WAV file")
+    p.add_argument("output", metavar="OUT.wav", help="output WAV file")
     _add_pipeline_flags(p)
     _add_encoding_flag(p)
     p.add_argument(
@@ -150,17 +155,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="print snr_db and mcd of the reconstruction against the input",
     )
 
-    p = _command(sub, "metrics", "SNR and MCD between two WAV files",
-                 "Print snr_db and mcd between a reference and an estimate WAV.",
-                 ("reference", "REF.wav", "reference WAV file"), ("estimate", "EST.wav", "estimate WAV file"))
+    p = sub.add_parser(
+        "metrics",
+        help="SNR and MCD between two WAV files",
+        description="Print snr_db and mcd between a reference and an estimate WAV.",
+    )
+    p.add_argument("reference", metavar="REF.wav", help="reference WAV file")
+    p.add_argument("estimate", metavar="EST.wav", help="estimate WAV file")
     p.add_argument("--mcd-bands", type=int, default=23, metavar="N", help="mel bands for MCD (default 23)")
     p.add_argument(
         "--mcd-cepstra", type=int, default=13, metavar="N", help="cepstra kept for MCD, excluding c0 (default 13)"
     )
 
-    p = _command(sub, "bench", "time a pipeline and report throughput",
-                 "Benchmark a pipeline: warm-up plus timed runs, reported as a "
-                 f"tab-separated row ({', '.join(bench_mod.TSV_COLUMNS)}).")
+    p = sub.add_parser(
+        "bench",
+        help="time a pipeline and report throughput",
+        description="Benchmark a pipeline: warm-up plus timed runs, reported as a "
+        f"tab-separated row ({', '.join(bench_mod.TSV_COLUMNS)}).",
+    )
     _add_pipeline_flags(p)
     p.add_argument("--duration", type=float, default=10.0, metavar="SEC", help="test clip length in seconds (default 10)")
     p.add_argument("--rate", type=int, default=22050, metavar="HZ", help="test clip sample rate (default 22050)")
@@ -173,8 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="timed stage: synth (inverse only; spectrogram precomputed), analyze, or roundtrip",
     )
 
-    _command(sub, "info", "print header metadata of a WAV or MVS1 file",
-             "Print header metadata of a WAV or MVS1 file as key/value lines.", ("input", "FILE", "WAV or MVS1 file"))
+    p = sub.add_parser(
+        "info",
+        help="print header metadata of a WAV or MVS1 file",
+        description="Print header metadata of a WAV or MVS1 file as key/value lines.",
+    )
+    p.add_argument("input", metavar="FILE", help="WAV or MVS1 file")
+
     return parser
 
 
@@ -195,7 +212,7 @@ def _cmd_analyze(args) -> None:
 def _cmd_synthesize(args) -> None:
     with open(args.input, "rb") as fh:
         y = _synthesis(io_mod._read_spec(fh), args.threads, _CHUNK_SAMPLES)
-        io_mod._write_wav(args.output, y, args.encoding)
+        io_mod.write_wav(args.output, y, args.encoding)
 
 
 def _cmd_roundtrip(args) -> None:
@@ -204,7 +221,7 @@ def _cmd_roundtrip(args) -> None:
         with open(args.input, "rb") as fh:
             x = io_mod._read_mono(fh)
             y = _synthesis(_spectrum(x, config, kind, clip, args.threads), args.threads, _CHUNK_SAMPLES)
-            io_mod._write_wav(args.output, y, args.encoding)
+            io_mod.write_wav(args.output, y, args.encoding)
         return
     x = io_mod.read_wav(args.input)
     y = _waveform(_synthesis(_spectrum(x._source(), config, kind, clip, args.threads), args.threads))

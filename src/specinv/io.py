@@ -11,8 +11,9 @@ each chunk of sample frames into one reused buffer and decodes channel 0
 into another: integer PCM in one division by full scale, float32 once
 every channel of the chunk is checked finite.  The writer checks and
 writes the header, which the rate and length alone fix, then encodes each
-chunk in reused buffers and writes it.  read_wav, wav_info and write_wav
-are their collect, drain and whole-array cases.
+chunk in reused buffers and writes it.  read_wav and wav_info are the
+reader's collect and drain cases; write_wav is the writer, fed a
+Waveform's samples or, from the CLI, the samples synthesis finishes.
 
 The MVS1 container is a little-endian, bit-exact interchange format:
 
@@ -281,16 +282,25 @@ def _wav_info(fh) -> dict:
     return meta
 
 
-def _write_wav(path, x: _Samples, encoding: str) -> None:
-    """The one WAV writer: the header, which ``x``'s rate and length fix, then its samples, encoded.
+def write_wav(path, x: Waveform, encoding: str = "float32") -> None:
+    """Write a mono waveform as PCM16 or float32 WAV.
 
-    Every header check runs before any sample is encoded.  Samples are
-    encoded ``_CHUNK_SAMPLES`` at a time in reused buffers and written
-    through the atomic temp file, which a failure partway through removes.
-    The samples are finite: those of a :class:`Waveform`, or synthesis of
-    float32-range MVS1 values or of WAV samples, neither of which can
-    overflow float64.
+    pcm16 clamps to [-1, 1] and scales by 32767 with round-half-away-from-
+    zero; float32 stores samples verbatim.
+
+    This is the one WAV writer: inside the package ``x`` may also be a
+    ``signal._Samples`` stream, as the CLI's synthesis is.  Every header
+    check runs, and the header, which the rate and length fix, is built
+    before any sample is encoded.  Samples are encoded ``_CHUNK_SAMPLES``
+    at a time in reused buffers and written through the atomic temp file,
+    which a failure partway through removes.  They are finite: those of a
+    :class:`Waveform`, or synthesis of float32-range MVS1 values or of WAV
+    samples, neither of which can overflow float64.
     """
+    if isinstance(x, Waveform):
+        x = x._source()
+    elif not isinstance(x, _Samples):
+        raise InvalidInputError(f"write_wav needs a Waveform, got {type(x).__name__}")
     if encoding not in _WAV_ENCODINGS:
         raise InvalidInputError(f"unknown encoding {encoding!r}; use {' or '.join(map(repr, _WAV_ENCODINGS))}")
     fmt_code, block_align = _WAV_ENCODINGS[encoding]
@@ -324,18 +334,6 @@ def _write_wav(path, x: _Samples, encoding: str) -> None:
                     yield out[:c]
 
     _atomic_write(path, itertools.chain((header,), encoded()))
-
-
-def write_wav(path, x: Waveform, encoding: str = "float32") -> None:
-    """Write a mono waveform as PCM16 or float32 WAV.
-
-    pcm16 clamps to [-1, 1] and scales by 32767 with round-half-away-from-
-    zero; float32 stores samples verbatim.  This is the one WAV writer fed
-    ``x.samples``.
-    """
-    if not isinstance(x, Waveform):
-        raise InvalidInputError(f"write_wav needs a Waveform, got {type(x).__name__}")
-    _write_wav(path, x._source(), encoding)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,9 @@ OLA_EPS = 1e-8
 # Positions are the MVS1 window codes (see io.py): append, never reorder.
 WINDOW_NAMES = ("hann", "kaiser", "boxcar")
 
-# Samples the WAV reader and writer move per step, and about what the
-# rolling overlap-add finishes between two hand-offs (512 KB as float64).
+# Samples the WAV reader and writer move per step, about what the rolling
+# overlap-add finishes between two hand-offs, and about the values synthesis
+# inverts per step (512 KB as float64).
 _CHUNK_SAMPLES = 1 << 16
 
 
@@ -305,6 +306,8 @@ def _frame_blocks(chunks, length: int, config: FrameConfig, block: int, out: np.
         np.copyto(frames, view[: len(frames)])
         frames *= window
         yield i, frames
+    for _ in chunks:  # uncentered framing can leave samples unread: read them, so the source checks them
+        pass
 
 
 def frame_signal(x: Waveform, config: FrameConfig) -> FrameMatrix:
@@ -385,11 +388,12 @@ def _overlap_add(blocks, config: FrameConfig, original_length: int, chunk: int |
         lo = max(pad, base)
         return acc[lo - base : max(lo, min(stop, pad + original_length)) - base]
 
-    acc, base, done = None, 0, 0  # acc[0] is padded sample base; done frames are added
+    acc = np.zeros(end + hop) if chunk is None else None  # acc[0] is padded sample base
+    base = done = 0  # done frames are added
     for rows in blocks:
         room = rows.shape[0] * hop + win  # what _ola reaches from the block's first frame
         if acc is None:
-            acc = np.zeros(end + hop if chunk is None else min(end + hop, chunk + room))
+            acc = np.zeros(min(end + hop, chunk + room))
         elif done * hop - base + room > len(acc):
             yield finished(done * hop)
             shift, base = done * hop - base, done * hop

@@ -21,7 +21,8 @@ from .errors import (
     InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _count, _finite, _whole,
 )
 from .signal import (
-    FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _overlap_add, _Samples, parse_name_value,
+    _CHUNK_SAMPLES, FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _overlap_add, _Samples,
+    parse_name_value,
 )
 
 __all__ = [
@@ -377,10 +378,12 @@ def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
 def _synthesis(stream: _Stream, workers, chunk: int | None = None) -> _Samples:
     """The samples of ``stream``: the one synthesis pipeline.
 
-    Each block is inverted and handed straight to ``_overlap_add``, whose
-    finished samples are the chunks: rolling ones of about ``chunk``
-    samples, or with ``chunk`` None the whole output as one.  A kind with
-    no synthesis path, or bad ``workers``, is refused only once the blocks
+    Each block is inverted about ``_CHUNK_SAMPLES`` values at a time (at
+    least one frame), so the transform's output and temporaries stay a
+    fixed few hundred KB beside the accumulator, and handed straight to
+    ``_overlap_add``, whose finished samples are the chunks: rolling ones
+    of about ``chunk`` samples, or with ``chunk`` None the whole output as
+    one.  A kind with no synthesis path, or bad ``workers``, is refused only once the blocks
     are drained, so a fault the stream's source finds (a bad MVS1 payload
     value, say) is reported first, as it is when the whole spectrogram is
     read or analyzed before synthesis.
@@ -398,7 +401,8 @@ def _synthesis(stream: _Stream, workers, chunk: int | None = None) -> _Samples:
         for _ in blocks:
             pass
         raise
-    frames = (inverse(rows, workers=workers) for rows in blocks)
+    step = max(1, _CHUNK_SAMPLES // stream.config.win_length)
+    frames = (inverse(rows[i : i + step], workers=workers) for rows in blocks for i in range(0, len(rows), step))
     chunks = _overlap_add(frames, stream.config, stream.original_length, chunk)
     return _Samples(stream.sample_rate, stream.original_length, chunks)
 

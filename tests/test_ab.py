@@ -109,6 +109,24 @@ def test_summarize_does_not_flag_a_steady_run():
     assert metrics["peak_rss_mb"]["ratio_spread"] == pytest.approx(1.02 / 0.98)
 
 
+def test_identical_ratios_flag_drift_only_beyond_the_spread_floor():
+    # every pair's ratio is exactly 1.1, so the within-pair spread is 1.0; the pairs' levels step 0.2% or 10% a pair
+    def runs(step):
+        return [_run(i, side, 100.0 * step**i * (1.1 if side == "change" else 1.0), 50.0)
+                for i in range(10) for side in ab.SIDES]
+
+    steady = ab.summarize(runs(1.002), {"synth_khz.dct": "higher"})["metrics"]["synth_khz.dct"]
+    assert steady["ratio_spread"] == pytest.approx(1.0) and not steady["drift"]
+    drifting = ab.summarize(runs(1.1), {"synth_khz.dct": "higher"})["metrics"]["synth_khz.dct"]
+    assert drifting["ratio_spread"] == pytest.approx(1.0) and drifting["drift"]
+
+
+def test_a_metric_that_reads_zero_is_summarized():
+    runs = [_run(i, side, 100.0, 0.0 if side == "parent" or i % 2 else 50.0) for i in range(4) for side in ab.SIDES]
+    rss = ab.summarize(runs, {"peak_rss_mb": "lower"})["metrics"]["peak_rss_mb"]
+    assert rss["ratio_median"] == math.inf and not rss["drift"]
+
+
 def test_drift_flags_the_committed_run_whose_machine_slowed_midway():
     # In BENCH_10.json the machine slowed 2.3-2.8x from the second run of dense pair 4 on.
     record = json.loads((Path(__file__).parents[1] / "BENCH_10.json").read_text())

@@ -162,6 +162,22 @@ def test_a_non_finite_float_in_the_last_chunk_is_a_format_error(tmp_path, channe
     assert code == 1 and sorted(p.name for p in tmp_path.iterdir()) == ["a.wav"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "roundtrip"])
+def test_a_non_finite_float_past_the_last_uncentered_frame_is_a_format_error(tmp_path, capsys, command):
+    # 1024/256 uncentered frames of C + 64 samples end at sample C, a chunk edge: the NaN is in a chunk no frame reads
+    cfg = FrameConfig(1024, 256, centered=False)
+    n = C + 64
+    assert _geometry(cfg, n)[2] == C
+    values = np.zeros(n, "<f4")
+    values[-1] = np.nan
+    path = tmp_path / "a.wav"
+    path.write_bytes(make_wav_bytes(values.tobytes(), 3, 32))
+    out = tmp_path / ("a.mvs" if command == "analyze" else "b.wav")
+    assert dispatch([command, str(path), str(out), "--algo", "dct", "--win", "1024", "--hop", "256", "--no-center"]) == 1
+    assert capsys.readouterr().err == "error: format: data chunk contains non-finite float samples\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav"]
+
+
 def test_integer_pcm_is_never_scanned_for_non_finite_values(tmp_path, monkeypatch):
     path = tmp_path / "a.wav"
     path.write_bytes(make_wav_bytes(np.arange(-50, 50, dtype="<i2").tobytes(), 1, 16))

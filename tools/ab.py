@@ -17,7 +17,7 @@ two order statistics of the ratios, with its exact binomial coverage), then
 how many pairs the change won.  It then flags drift: a run whose pair-to-pair
 spread (the quartile ratio of each pair's geometric mean) is more than
 ``DRIFT_FACTOR`` times its within-pair spread (the quartile ratio of the
-ratios), on the log scale.
+ratios, taken as at least ``SPREAD_FLOOR``), on the log scale.
 Under drift the machine's speed, not the code, sets the unpaired numbers
 that follow: both sides' medians and the parent's interquartile range.  Provenance records the interpreter and library versions the
 workers report, the CPU count, ``os.getloadavg()`` before and after, and the
@@ -41,6 +41,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 CONFIDENCE = 0.95  # sign-test coverage the ratio interval aims for
 DRIFT_FACTOR = 3.0  # pair-to-pair over within-pair spread, in log terms, that flags drift
+SPREAD_FLOOR = 1.01  # within-pair spread taken as at least this: a 1% quartile ratio, so runs in step are no drift
 
 
 def run_order(pairs: int) -> list[tuple[int, str]]:
@@ -84,7 +85,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     metrics = {}
     for name, direction in better.items() if pairs else ():
         values = {side: [p[side]["end_to_end"][name] for p in pairs] for side in SIDES}
-        ratios = [c / a for a, c in zip(values["parent"], values["change"])]
+        ratios = [_ratio(a, c) for a, c in zip(values["parent"], values["change"])]
         low, high, cover = sign_interval(ratios)
         quartiles = statistics.quantiles(values["parent"], n=4) if len(pairs) > 1 else (0.0, 0.0, 0.0)
         wins = sum((c > a) if direction == "higher" else (c < a) for a, c in zip(values["parent"], values["change"]))
@@ -98,7 +99,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "better": direction,
             "pair_spread": pair_spread,
             "ratio_spread": ratio_spread,
-            "drift": math.log(pair_spread) > DRIFT_FACTOR * math.log(ratio_spread),
+            "drift": math.log(pair_spread) > DRIFT_FACTOR * math.log(max(ratio_spread, SPREAD_FLOOR)),
             "parent_median": statistics.median(values["parent"]),
             "change_median": statistics.median(values["change"]),
             "parent_iqr": quartiles[2] - quartiles[0],
@@ -113,15 +114,25 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     }
 
 
+def _ratio(parent: float, change: float) -> float:
+    """``change / parent``; 1.0 when both are 0, and infinite when only the parent is."""
+    if parent:
+        return change / parent
+    return 1.0 if change == parent else math.inf
+
+
 def _spread(values) -> float:
-    """The ratio of the upper to the lower quartile of positive ``values``: 1.0 when they agree.
+    """The ratio of the upper to the lower quartile of the positive, finite ``values``: 1.0 when they agree.
 
     Quartiles, not the extremes, so one pair caught by a change of the
-    machine's speed between its two runs does not set it.
+    machine's speed between its two runs does not set it.  A 0 or infinite
+    value (a metric that read 0 on a side) has no place on the log scale
+    and is left out.
     """
-    if len(values) < 2:
+    logs = [math.log(v) for v in values if 0 < v < math.inf]
+    if len(logs) < 2:
         return 1.0
-    low, _, high = statistics.quantiles([math.log(v) for v in values], n=4)
+    low, _, high = statistics.quantiles(logs, n=4)
     return math.exp(high - low)
 
 
