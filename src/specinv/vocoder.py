@@ -378,12 +378,13 @@ def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
 def _synthesis(stream: _Stream, workers, chunk: int | None = None) -> _Samples:
     """The samples of ``stream``: the one synthesis pipeline.
 
-    Each block is inverted about ``_CHUNK_SAMPLES`` values at a time (at
-    least one frame), so the transform's output and temporaries stay a
-    fixed few hundred KB beside the accumulator, and handed straight to
-    ``_overlap_add``, whose finished samples are the chunks: rolling ones
-    of about ``chunk`` samples, or with ``chunk`` None the whole output as
-    one.  A kind with no synthesis path, or bad ``workers``, is refused only once the blocks
+    Each block is inverted and handed straight to ``_overlap_add``, whose
+    finished samples are the chunks: rolling ones of about ``chunk``
+    samples, or with ``chunk`` None the whole output as one.  That whole
+    output is held beside the whole spectrogram, so there each block is
+    inverted about ``_CHUNK_SAMPLES`` values at a time (at least one
+    frame): the transform's output and temporaries add a few hundred KB to
+    that peak, not a block's worth.  A kind with no synthesis path, or bad ``workers``, is refused only once the blocks
     are drained, so a fault the stream's source finds (a bad MVS1 payload
     value, say) is reported first, as it is when the whole spectrogram is
     read or analyzed before synthesis.
@@ -401,7 +402,7 @@ def _synthesis(stream: _Stream, workers, chunk: int | None = None) -> _Samples:
         for _ in blocks:
             pass
         raise
-    step = max(1, _CHUNK_SAMPLES // stream.config.win_length)
+    step = max(1, _CHUNK_SAMPLES // stream.config.win_length) if chunk is None else _BLOCK_FRAMES
     frames = (inverse(rows[i : i + step], workers=workers) for rows in blocks for i in range(0, len(rows), step))
     chunks = _overlap_add(frames, stream.config, stream.original_length, chunk)
     return _Samples(stream.sample_rate, stream.original_length, chunks)
