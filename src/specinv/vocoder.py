@@ -380,14 +380,16 @@ def _synthesis(stream: _Stream, workers, chunk: int | None = None) -> _Samples:
 
     Each block is inverted and handed straight to ``_overlap_add``, whose
     finished samples are the chunks: rolling ones of about ``chunk``
-    samples, or with ``chunk`` None the whole output as one.  That whole
-    output is held beside the whole spectrogram, so there each block is
-    inverted about ``_CHUNK_SAMPLES`` values at a time (at least one
-    frame): the transform's output and temporaries add a few hundred KB to
-    that peak, not a block's worth.  A kind with no synthesis path, or bad ``workers``, is refused only once the blocks
-    are drained, so a fault the stream's source finds (a bad MVS1 payload
-    value, say) is reported first, as it is when the whole spectrogram is
-    read or analyzed before synthesis.
+    samples, or with ``chunk`` None the whole output as one.  Each step
+    inverts at most the frames that start within ``_CHUNK_SAMPLES`` output
+    samples (at least one): at a hop near the window a whole block's
+    transform output and temporaries would be several MB beside the
+    output, while at a small hop the block stays whole, since every step
+    costs ``ceil(win / hop)`` slice-adds.  A kind with no synthesis path,
+    or bad ``workers``, is refused only once the blocks are drained, so a
+    fault the stream's source finds (a bad MVS1 payload value, say) is
+    reported first, as it is when the whole spectrogram is read or
+    analyzed before synthesis.
     """
     inverse = KINDS[stream.kind].inverse
     blocks = stream.blocks()
@@ -402,7 +404,7 @@ def _synthesis(stream: _Stream, workers, chunk: int | None = None) -> _Samples:
         for _ in blocks:
             pass
         raise
-    step = max(1, _CHUNK_SAMPLES // stream.config.win_length) if chunk is None else _BLOCK_FRAMES
+    step = max(1, _CHUNK_SAMPLES // stream.config.hop_length)
     frames = (inverse(rows[i : i + step], workers=workers) for rows in blocks for i in range(0, len(rows), step))
     chunks = _overlap_add(frames, stream.config, stream.original_length, chunk)
     return _Samples(stream.sample_rate, stream.original_length, chunks)
