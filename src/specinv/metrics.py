@@ -62,7 +62,7 @@ def snr_db(reference: Waveform, estimate: Waveform) -> float:
 
     Returns ``math.inf`` when the error energy is exactly zero.
     """
-    _check_pair(reference, estimate)
+    _check_pair("snr_db", reference, estimate)
     ref = reference.samples
     signal_energy = float(np.dot(ref, ref))
     if signal_energy == 0.0:
@@ -134,7 +134,9 @@ def mcd(reference: Waveform, estimate: Waveform, cfg: McdConfig = McdConfig()) -
     mean over frames.  Excluding c0 makes the measure invariant to overall
     gain.
     """
-    _check_pair(reference, estimate)
+    _check_pair("mcd", reference, estimate)
+    if not isinstance(cfg, McdConfig):
+        raise InvalidConfigError(f"mcd needs an McdConfig, got {type(cfg).__name__}")
     if len(reference) == 0:
         raise InvalidInputError("mcd needs at least one analysis frame")
     fmax = cfg.fmax if cfg.fmax is not None else reference.sample_rate / 2.0
@@ -147,7 +149,10 @@ def mcd(reference: Waveform, estimate: Waveform, cfg: McdConfig = McdConfig()) -
     return float((10.0 / np.log(10.0)) * per_frame.mean())
 
 
-def _check_pair(reference: Waveform, estimate: Waveform) -> None:
+def _check_pair(op: str, reference: Waveform, estimate: Waveform) -> None:
+    for x in (reference, estimate):
+        if not isinstance(x, Waveform):
+            raise InvalidInputError(f"{op} needs a Waveform, got {type(x).__name__}")
     if len(reference) != len(estimate):
         raise InvalidInputError(
             f"length mismatch: reference has {len(reference)} samples, "

@@ -127,9 +127,14 @@ def test_a_metric_that_reads_zero_is_summarized():
     assert rss["ratio_median"] == math.inf and not rss["drift"]
 
 
-def test_drift_flags_the_committed_run_whose_machine_slowed_midway():
-    # In BENCH_10.json the machine slowed 2.3-2.8x from the second run of dense pair 4 on.
-    record = json.loads((Path(__file__).parents[1] / "BENCH_10.json").read_text())
+ROOT = Path(__file__).parents[1]
+BOUNDS = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def _resummarized(path):
+    """Each workload of a committed ``tools/ab.py`` record, summarized again from its runs."""
+    record = json.loads((ROOT / path).read_text())
+    out = {}
     for workload, summary in record["workloads"].items():
         better = {name: m["better"] for name, m in summary["metrics"].items()}
         runs = [
@@ -137,6 +142,48 @@ def test_drift_flags_the_committed_run_whose_machine_slowed_midway():
              "end_to_end": {name: m[side][i] for name, m in summary["metrics"].items()}}
             for i in range(summary["pairs"]) for side in ab.SIDES
         ]
-        drift = {name for name, m in ab.summarize(runs, better)["metrics"].items() if m["drift"]}
+        out[workload] = ab.summarize(runs, better, BOUNDS)["metrics"]
+    return out
+
+
+def test_drift_flags_the_committed_run_whose_machine_slowed_midway():
+    # In BENCH_10.json the machine slowed 2.3-2.8x from the second run of dense pair 4 on.
+    for workload, metrics in _resummarized("BENCH_10.json").items():
+        better = {name: m["better"] for name, m in metrics.items()}
+        drift = {name for name, m in metrics.items() if m["drift"]}
         kinds = {name for name in better if name.endswith("_khz") or "_khz." in name}
         assert drift == (kinds | {"setup_s"} if workload == "dense" else set()), workload
+
+
+def test_an_a_a_run_yields_no_gain():
+    # BENCH_8_aa.json ran one checkout as both sides: its cli_khz.analyze won 10/10 at x1.030,
+    # but the medians differ by 5.7%, inside the parent's 7.5% interquartile range.
+    for workload, metrics in _resummarized("BENCH_8_aa.json").items():
+        assert metrics["cli_khz.analyze"]["change_better_pairs"] == 10
+        assert {m["verdict"] for m in metrics.values()} == {"no change"}, workload
+
+
+def test_a_committed_gain_reads_gain():
+    assert _resummarized("BENCH_12.json")["coarse"]["cli_khz.synthesize"]["verdict"] == "gain"
+
+
+def test_verdict_rules():
+    parent = [100.0, 98.0, 102.0, 99.0, 101.0, 100.0, 97.0, 103.0, 100.0, 100.0]
+    assert ab.verdict(parent, [v * 0.70 for v in parent], "higher", 0.25) == "regression"
+    assert ab.verdict(parent, [v * 1.30 for v in parent], "lower", 0.25) == "regression"
+    assert ab.verdict(parent, [v * 0.80 for v in parent], "higher", 0.25) == "no change"  # worse, but within the bound
+    assert ab.verdict(parent, [v * 1.10 for v in parent], "higher", 0.25) == "gain"
+    assert ab.verdict(parent, [v * 0.90 for v in parent], "lower", 0.25) == "gain"
+    assert ab.verdict(parent, parent, "higher", 0.25) == "no change"
+    # the parent's runs spread wider than the bound: 1.2x in every pair tells nothing...
+    wide = [60.0, 140.0, 80.0, 120.0, 100.0, 70.0, 130.0, 90.0, 110.0, 100.0]
+    assert ab.verdict(wide, [v * 1.2 for v in wide], "higher", 0.25) == "unresolved"
+    # ...unless every change run beats every parent run
+    assert ab.verdict(wide, [v + 100.0 for v in wide], "higher", 0.25) == "gain"
+
+
+def test_summarize_stores_a_verdict_per_metric():
+    runs = [_run(i, side, 100.0 * (0.7 if side == "change" else 1.0), 50.0) for i in range(10) for side in ab.SIDES]
+    metrics = ab.summarize(runs, {"synth_khz.dct": "higher", "peak_rss_mb": "lower"}, BOUNDS)["metrics"]
+    assert metrics["synth_khz.dct"]["verdict"] == "regression"
+    assert metrics["peak_rss_mb"]["verdict"] == "no change"

@@ -9,6 +9,7 @@ from helpers import (
     synthetic_speech,
 )
 
+from specinv import cli
 from specinv.cli import build_parser, dispatch
 from specinv.errors import InvalidInputError, MeasurementError, SpecinvError, UnsupportedCodecError
 from specinv.io import read_spec, read_wav, write_spec, write_wav
@@ -370,3 +371,50 @@ def test_every_flag_is_documented(capsys, monkeypatch):
 def test_parser_builds_without_env():
     parser = build_parser()
     assert parser.prog == "specinv"
+
+
+@pytest.fixture()
+def parser_builds(monkeypatch):
+    """Count ``build_parser`` calls, starting and ending with no cached parser."""
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    yield builds
+    cli._parser.cache_clear()
+
+
+def test_dispatch_builds_the_parser_once_for_many_commands(tmp_path, wav_path, parser_builds, capsys):
+    mvs, out = tmp_path / "a.mvs", tmp_path / "b.wav"
+    assert dispatch(["info", str(wav_path)]) == 0
+    assert dispatch(["analyze", str(wav_path), str(mvs), "--algo", "dct"]) == 0
+    assert dispatch(["synthesize", str(mvs), str(out)]) == 0
+    assert len(parser_builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "in.wav", "out.mvs", "--algo", "nope"], ["synthesize", "--help"], [], ["bogus"]],
+    ids=["usage-error", "help", "no-command", "unknown-command"],
+)
+def test_a_reused_parser_answers_an_argv_as_it_did_first(argv, tmp_path, wav_path, parser_builds, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    runs = [["info", str(wav_path)], argv, ["metrics", str(wav_path), str(wav_path)]]
+
+    def outcome(args):
+        code = dispatch(args)
+        return code, *capsys.readouterr()
+
+    first = [outcome(args) for args in runs]
+    assert [outcome(args) for args in runs + runs] == first + first
+    assert len(parser_builds) == 1
+
+
+def test_build_parser_returns_a_new_parser_and_dispatch_keeps_one():
+    assert build_parser() is not build_parser()
+    assert cli._parser() is cli._parser()
+    assert cli._parser() is not build_parser()

@@ -91,6 +91,25 @@ def test_mcd_length_mismatch_rejected(rng):
         mcd(x, y)
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda x: mcd(x, x, "c"), InvalidConfigError, "mcd needs an McdConfig, got str"),
+        (lambda x: mcd(x, None), InvalidInputError, "mcd needs a Waveform, got NoneType"),
+        (lambda x: mcd("a", x), InvalidInputError, "mcd needs a Waveform, got str"),
+        (lambda x: mcd(x.samples, x), InvalidInputError, "mcd needs a Waveform, got ndarray"),
+        (lambda x: snr_db(None, x), InvalidInputError, "snr_db needs a Waveform, got NoneType"),
+        (lambda x: snr_db(x, "y"), InvalidInputError, "snr_db needs a Waveform, got str"),
+    ],
+    ids=["mcd-config-str", "mcd-estimate-none", "mcd-reference-str", "mcd-reference-array",
+         "snr-reference-none", "snr-estimate-str"],
+)
+def test_wrong_typed_arguments_get_typed_errors(call, error, message, rng):
+    x = Waveform(rng.normal(size=4000), 22050)
+    with pytest.raises(error, match=f"^{message}$"):
+        call(x)
+
+
 def test_mcd_empty_input_rejected():
     empty = Waveform(np.zeros(0), 22050)
     with pytest.raises(InvalidInputError):

@@ -19,7 +19,9 @@ spread (the quartile ratio of each pair's geometric mean) is more than
 ``DRIFT_FACTOR`` times its within-pair spread (the quartile ratio of the
 ratios, taken as at least ``SPREAD_FLOOR``), on the log scale.
 Under drift the machine's speed, not the code, sets the unpaired numbers
-that follow: both sides' medians and the parent's interquartile range.  Provenance records the interpreter and library versions the
+that follow: both sides' medians and the parent's interquartile range.  Each
+metric ends in one ``verdict`` (see :func:`verdict`), from the paired data and
+the metric's ``bound`` in ``BENCHMARK.json``.  Provenance records the interpreter and library versions the
 workers report, the CPU count, ``os.getloadavg()`` before and after, and the
 git commit of each checkout with whether its files differ from it.  Passing
 the same directory twice is an A/A run, which measures the noise floor.  The
@@ -42,6 +44,7 @@ SIDES = ("parent", "change")
 CONFIDENCE = 0.95  # sign-test coverage the ratio interval aims for
 DRIFT_FACTOR = 3.0  # pair-to-pair over within-pair spread, in log terms, that flags drift
 SPREAD_FLOOR = 1.01  # within-pair spread taken as at least this: a 1% quartile ratio, so runs in step are no drift
+GAIN_SHARE = 0.9  # share of pairs the change must win for a gain: 9 of 10
 
 
 def run_order(pairs: int) -> list[tuple[int, str]]:
@@ -70,13 +73,49 @@ def sign_interval(values) -> tuple[float, float, float]:
     return ordered[k - 1], ordered[n - k], coverage(k)
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], direction: str, bound: float) -> str:
+    """One word for a metric's paired runs, by the first rule that holds.
+
+    ``parent[i]`` and ``change[i]`` are pair ``i``; ``direction`` is
+    ``"higher"`` or ``"lower"`` and ``bound`` the relative change the
+    metric tolerates.
+
+    - ``regression``: the median of the change/parent ratios is worse than
+      ``1 - bound`` (``1 + bound`` where lower is better).
+    - ``unresolved``: the parent's interquartile range is wider than
+      ``bound`` times its median, so the runs spread too widely to tell,
+      unless every change run beats every parent run.
+    - ``gain``: the change is better in at least ``GAIN_SHARE`` of the pairs
+      and its median beats the parent's by more than the parent's
+      interquartile range.  A win count alone is not enough: between
+      identical checkouts one label can win 10 of 10 pairs by a margin
+      inside the parent's own spread.
+    - ``no change``: otherwise.
+    """
+    sign = 1.0 if direction == "higher" else -1.0
+    ratio = statistics.median(_ratio(a, c) for a, c in zip(parent, change))
+    if sign * (ratio - 1.0) < -bound:
+        return "regression"
+    median = statistics.median(parent)
+    quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else (median, median, median)
+    iqr = quartiles[2] - quartiles[0]
+    beats_every_run = min(sign * c for c in change) > max(sign * a for a in parent)
+    if iqr > bound * abs(median) and not beats_every_run:
+        return "unresolved"
+    wins = sum(sign * (c - a) > 0 for a, c in zip(parent, change))
+    if wins >= GAIN_SHARE * len(parent) and sign * (statistics.median(change) - median) > iqr:
+        return "gain"
+    return "no change"
+
+
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per-metric summary of one workload's runs.
 
     ``runs`` holds one ``{"pair", "side", "end_to_end", "failed"}`` record
-    per run; ``better`` maps each metric to ``"higher"`` or ``"lower"``.
-    A pair missing either side (a run that failed) is left out of the
-    ratios.
+    per run; ``better`` maps each metric to ``"higher"`` or ``"lower"`` and
+    ``bounds`` to its ``BENCHMARK.json`` bound.  A metric with no bound
+    is judged by the gain rule alone.  A pair missing either side (a run
+    that failed) is left out of the ratios.
     """
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
@@ -96,6 +135,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "ratio_interval": [low, high],
             "interval_coverage": cover,
             "change_better_pairs": wins,
+            "verdict": verdict(values["parent"], values["change"], direction, (bounds or {}).get(name, math.inf)),
             "better": direction,
             "pair_spread": pair_spread,
             "ratio_spread": ratio_spread,
@@ -174,6 +214,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     provenance = {
         "started_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -193,7 +234,7 @@ def main(argv=None) -> int:
                 if record["provenance"]:
                     provenance.setdefault("workers", record["provenance"])
                 print(f"ab: {workload} pair {pair} {side} done", file=sys.stderr)
-            workloads[workload] = summarize(runs, better)
+            workloads[workload] = summarize(runs, better, bounds)
     provenance["loadavg_after"] = os.getloadavg()
     provenance["finished_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
@@ -213,7 +254,8 @@ def main(argv=None) -> int:
             low, high = m["ratio_interval"]
             drift = f"  DRIFT: pairs spread x{m['pair_spread']:.2f}, ratios x{m['ratio_spread']:.2f}" if m["drift"] else ""
             print(f"  {name:<26} ratio {m['ratio_median']:.3f} [{low:.3f}, {high:.3f}] "
-                  f"({m['interval_coverage']:.1%})  better in {m['change_better_pairs']}/{summary['pairs']}{drift}")
+                  f"({m['interval_coverage']:.1%})  better in {m['change_better_pairs']}/{summary['pairs']}  "
+                  f"{m['verdict']}{drift}")
     return 0
 
 
