@@ -6,7 +6,7 @@ writes output files (atomically), so an invalid invocation never leaves a
 partial file behind.  Errors exit nonzero with a single
 ``error: <category>: <message>`` line on stderr.  ``dispatch`` may be
 called any number of times in one process: it builds the parser on its
-first call and reuses it, which keeps ~2 ms of argparse setup off every
+first call and reuses it, which keeps 1–2 ms of argparse setup off every
 later command.
 """
 from __future__ import annotations

@@ -167,23 +167,23 @@ def test_a_committed_gain_reads_gain():
     assert _resummarized("BENCH_12.json")["coarse"]["cli_khz.synthesize"]["verdict"] == "gain"
 
 
+def _verdict(parent, change, better, bound=0.25):
+    runs = [{"pair": i, "side": side, "failed": 0, "end_to_end": {"m": v}}
+            for i, pair in enumerate(zip(parent, change)) for side, v in zip(ab.SIDES, pair)]
+    return ab.summarize(runs, {"m": better}, {"m": bound})["metrics"]["m"]["verdict"]
+
+
 def test_verdict_rules():
     parent = [100.0, 98.0, 102.0, 99.0, 101.0, 100.0, 97.0, 103.0, 100.0, 100.0]
-    assert ab.verdict(parent, [v * 0.70 for v in parent], "higher", 0.25) == "regression"
-    assert ab.verdict(parent, [v * 1.30 for v in parent], "lower", 0.25) == "regression"
-    assert ab.verdict(parent, [v * 0.80 for v in parent], "higher", 0.25) == "no change"  # worse, but within the bound
-    assert ab.verdict(parent, [v * 1.10 for v in parent], "higher", 0.25) == "gain"
-    assert ab.verdict(parent, [v * 0.90 for v in parent], "lower", 0.25) == "gain"
-    assert ab.verdict(parent, parent, "higher", 0.25) == "no change"
+    assert _verdict(parent, [v * 0.70 for v in parent], "higher") == "regression"
+    assert _verdict(parent, [v * 1.30 for v in parent], "lower") == "regression"
+    assert _verdict(parent, [v * 0.80 for v in parent], "higher") == "no change"  # worse, but within the bound
+    assert _verdict(parent, [v * 1.10 for v in parent], "higher") == "gain"
+    assert _verdict(parent, [v * 0.90 for v in parent], "lower") == "gain"
+    assert _verdict(parent, parent, "higher") == "no change"
     # the parent's runs spread wider than the bound: 1.2x in every pair tells nothing...
     wide = [60.0, 140.0, 80.0, 120.0, 100.0, 70.0, 130.0, 90.0, 110.0, 100.0]
-    assert ab.verdict(wide, [v * 1.2 for v in wide], "higher", 0.25) == "unresolved"
+    assert _verdict(wide, [v * 1.2 for v in wide], "higher") == "unresolved"
     # ...unless every change run beats every parent run
-    assert ab.verdict(wide, [v + 100.0 for v in wide], "higher", 0.25) == "gain"
+    assert _verdict(wide, [v + 100.0 for v in wide], "higher") == "gain"
 
-
-def test_summarize_stores_a_verdict_per_metric():
-    runs = [_run(i, side, 100.0 * (0.7 if side == "change" else 1.0), 50.0) for i in range(10) for side in ab.SIDES]
-    metrics = ab.summarize(runs, {"synth_khz.dct": "higher", "peak_rss_mb": "lower"}, BOUNDS)["metrics"]
-    assert metrics["synth_khz.dct"]["verdict"] == "regression"
-    assert metrics["peak_rss_mb"]["verdict"] == "no change"

@@ -21,11 +21,12 @@ ratios, taken as at least ``SPREAD_FLOOR``), on the log scale.
 Under drift the machine's speed, not the code, sets the unpaired numbers
 that follow: both sides' medians and the parent's interquartile range.  Each
 metric ends in one ``verdict`` (see :func:`verdict`), from the paired data and
-the metric's ``bound`` in ``BENCHMARK.json``.  Provenance records the interpreter and library versions the
-workers report, the CPU count, ``os.getloadavg()`` before and after, and the
-git commit of each checkout with whether its files differ from it.  Passing
-the same directory twice is an A/A run, which measures the noise floor.  The
-tool only aggregates: it changes nothing in either checkout.
+the metric's ``bound`` in ``BENCHMARK.json``.  Provenance records the
+interpreter and library versions the workers report, the CPU count,
+``os.getloadavg()`` before and after, and the git commit of each checkout
+with whether its files differ from it.  Passing the same directory twice is
+an A/A run, which measures the noise floor.  The tool only aggregates: it
+changes nothing in either checkout.
 """
 from __future__ import annotations
 
@@ -73,12 +74,10 @@ def sign_interval(values) -> tuple[float, float, float]:
     return ordered[k - 1], ordered[n - k], coverage(k)
 
 
-def verdict(parent: list[float], change: list[float], direction: str, bound: float) -> str:
-    """One word for a metric's paired runs, by the first rule that holds.
+def verdict(metric: dict, bound: float) -> str:
+    """One word for a metric's summary (see :func:`summarize`), by the first rule that holds.
 
-    ``parent[i]`` and ``change[i]`` are pair ``i``; ``direction`` is
-    ``"higher"`` or ``"lower"`` and ``bound`` the relative change the
-    metric tolerates.
+    ``bound`` is the relative change the metric tolerates.
 
     - ``regression``: the median of the change/parent ratios is worse than
       ``1 - bound`` (``1 + bound`` where lower is better).
@@ -92,18 +91,15 @@ def verdict(parent: list[float], change: list[float], direction: str, bound: flo
       inside the parent's own spread.
     - ``no change``: otherwise.
     """
-    sign = 1.0 if direction == "higher" else -1.0
-    ratio = statistics.median(_ratio(a, c) for a, c in zip(parent, change))
-    if sign * (ratio - 1.0) < -bound:
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    if sign * (metric["ratio_median"] - 1.0) < -bound:
         return "regression"
-    median = statistics.median(parent)
-    quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else (median, median, median)
-    iqr = quartiles[2] - quartiles[0]
-    beats_every_run = min(sign * c for c in change) > max(sign * a for a in parent)
-    if iqr > bound * abs(median) and not beats_every_run:
+    iqr = metric["parent_iqr"]
+    beats_every_run = min(sign * c for c in metric["change"]) > max(sign * a for a in metric["parent"])
+    if iqr > bound * abs(metric["parent_median"]) and not beats_every_run:
         return "unresolved"
-    wins = sum(sign * (c - a) > 0 for a, c in zip(parent, change))
-    if wins >= GAIN_SHARE * len(parent) and sign * (statistics.median(change) - median) > iqr:
+    won = metric["change_better_pairs"] >= GAIN_SHARE * len(metric["parent"])
+    if won and sign * (metric["change_median"] - metric["parent_median"]) > iqr:
         return "gain"
     return "no change"
 
@@ -135,7 +131,6 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
             "ratio_interval": [low, high],
             "interval_coverage": cover,
             "change_better_pairs": wins,
-            "verdict": verdict(values["parent"], values["change"], direction, (bounds or {}).get(name, math.inf)),
             "better": direction,
             "pair_spread": pair_spread,
             "ratio_spread": ratio_spread,
@@ -146,6 +141,7 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
             "parent": values["parent"],
             "change": values["change"],
         }
+        metrics[name]["verdict"] = verdict(metrics[name], (bounds or {}).get(name, math.inf))
     return {
         "pairs": len(pairs),
         "failed_ops": {side: sum(r["failed"] for r in runs if r["side"] == side) for side in SIDES},
