@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import sys
 
 from . import bench as bench_mod
@@ -265,16 +264,7 @@ def _cmd_bench(args) -> None:
 
 def _cmd_info(args) -> None:
     with open(args.input, "rb") as fh:
-        # The one open: a pipe is read whole, so its magic can be read again with the rest.
-        src = fh if fh.seekable() else io.BytesIO(fh.read())
-        magic = src.read(4)
-        src.seek(0)
-        if magic == b"RIFF":
-            meta = io_mod._wav_info(src)
-        elif magic == io_mod.SPEC_MAGIC:
-            meta = io_mod._spec_info(src)
-        else:
-            raise FormatError(f"{args.input}: neither a WAV nor an MVS1 file (magic {magic!r})")
+        meta = io_mod._info(fh)
     for key, value in meta.items():
         print(f"{key}\t{value}")
 

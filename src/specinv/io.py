@@ -46,14 +46,14 @@ the payload size and the spectrogram metadata before it sizes anything,
 then reads each block into one reused float32 buffer, widens it to
 float64 and checks it with the value rules Spectrogram uses.  The writer
 checks the whole header, which the metadata alone fixes, then casts each
-block to float32 while it is still in cache and writes it.  read_spec and
-write_spec are their whole-array case: read_spec lands the blocks in one
-preallocated array, scanned once, and write_spec writes row blocks of
-spec.data with no whole float32 copy.  The CLI streams through them
-without holding a whole spectrogram: ``analyze`` writes the analysis
-blocks, ``synthesize`` inverts the blocks it reads, and ``info``
-(spec_info) checks every block, so it validates the whole file, payload
-included, the way ``synthesize`` does.  A file write_spec writes always
+block into one reused float32 buffer while it is still in cache and
+writes it.  read_spec and write_spec are their whole-array case:
+read_spec lands the blocks in one preallocated array, scanned once, and
+write_spec writes row blocks of spec.data with no whole float32 copy.
+The CLI streams through them without holding a whole spectrogram:
+``analyze`` writes the analysis blocks, ``synthesize`` inverts the
+blocks it reads, and ``info`` (spec_info) checks every block, so it
+validates the whole file, payload included, the way ``synthesize`` does.  A file write_spec writes always
 reads back: a tau or beta that is invalid once rounded to float32, a
 payload value beyond float32 range or a header value too wide for its
 field raises InvalidInputError, and no file is left behind.
@@ -63,6 +63,17 @@ chunks as they come; ``synthesize`` hands the writer the samples the
 rolling overlap-add finishes; ``roundtrip`` does both.  None of them holds
 a waveform-sized array, except ``roundtrip --report``, whose snr_db and
 mcd need the input and the output whole.
+
+This module is the one layer that knows the two containers:
+- ``_seekable`` holds the pipe rule.  A pipe, whose size is known only
+  once it is read, is read whole first, by both readers and by ``info``.
+- ``_info`` is ``info``'s sniffing: it picks the WAV or the MVS1 reader by
+  the file's magic bytes.
+- ``_payload`` is the one payload read loop of both readers: a fixed
+  number of rows at a time into one reused buffer, where a short read is
+  a FormatError naming the rows it cut.
+- Both writers encode into reused buffers: the WAV writer a chunk of
+  samples at a time, the MVS1 writer a block of float32 rows.
 
 Writes go through a temp file in the destination directory followed by an
 atomic rename, so a failed run, even one that fails partway through the
@@ -123,15 +134,50 @@ class MultiChannelWarning(UserWarning):
     """Raised when a multi-channel WAV is reduced to channel 0."""
 
 
-def _f32(values: np.ndarray, what: str, out: np.ndarray | None = None) -> np.ndarray:
-    """``values`` as a C-ordered little-endian float32 array (``out``, if given), refusing any that overflow to inf."""
-    out = np.empty(values.shape, "<f4") if out is None else out
+def _f32(values: np.ndarray, what: str, out: np.ndarray) -> np.ndarray:
+    """``values`` cast into the leading rows of the little-endian float32 buffer ``out``, refusing any that overflow."""
     try:
         with np.errstate(over="raise"):
-            np.copyto(out, values, casting="same_kind")
-            return out
+            np.copyto(out[: len(values)], values, casting="same_kind")
+            return out[: len(values)]
     except FloatingPointError:
         raise InvalidInputError(f"{what} exceed the float32 range (max {np.finfo(np.float32).max:g})") from None
+
+
+def _seekable(fh):
+    """``fh``, or, if it is a pipe, whose size is known only once it is read, a seekable copy of all of it."""
+    return fh if fh.seekable() else io.BytesIO(fh.read())
+
+
+def _payload(fh, at: int, n: int, per: int, row: int, dtype, what: str, unit: str):
+    """``(i, rows)`` for the ``n`` rows of ``row`` ``dtype`` values at byte ``at`` of ``fh``: the one payload read loop.
+
+    The rows are read ``per`` at a time, from row ``i``, into one reused
+    buffer, so each is valid only until the next; a short read is a
+    :class:`FormatError` naming ``what`` and the ``unit``s it cut.
+    """
+    stored = np.empty((min(n, per), row), dtype)
+    fh.seek(at)
+    for i in range(0, n, per):
+        rows = stored[: n - i]
+        if fh.readinto(rows) != rows.nbytes:
+            raise FormatError(f"{what} ended early, in {unit} {i}..{i + len(rows) - 1}")
+        yield i, rows
+
+
+def _info(fh) -> dict:
+    """What ``specinv info`` prints of the open binary file ``fh``: its :func:`wav_info` or :func:`spec_info`.
+
+    Which one is chosen by the magic bytes; a pipe is read whole first, so
+    the chosen reader reads them again with the rest.
+    """
+    name, fh = fh.name, _seekable(fh)
+    magic = fh.read(4)
+    fh.seek(0)
+    info = {b"RIFF": _wav_info, SPEC_MAGIC: _spec_info}.get(magic)
+    if info is None:
+        raise FormatError(f"{name}: neither a WAV nor an MVS1 file (magic {magic!r})")
+    return info(fh)
 
 
 def _atomic_write(path, chunks) -> None:
@@ -169,8 +215,7 @@ def _read_wav(fh) -> tuple[dict, _Samples]:
     float32 once checked finite on every channel.  Any fault is a
     :class:`FormatError` or :class:`UnsupportedCodecError`.
     """
-    if not fh.seekable():  # a pipe: its size is known once it is read
-        fh = io.BytesIO(fh.read())
+    fh = _seekable(fh)
     size = fh.seek(0, os.SEEK_END)
     fh.seek(0)
     raw = fh.read(12)
@@ -220,14 +265,9 @@ def _read_wav(fh) -> tuple[dict, _Samples]:
     }
 
     def chunks():
-        stored = np.empty((min(n, _CHUNK_SAMPLES), frame_bytes), np.uint8)
-        wide = np.zeros((len(stored), 4), np.uint8)  # PCM24 channel 0, widened to int32
-        out = np.empty(len(stored))
-        fh.seek(data_at)
-        for i in range(0, n, _CHUNK_SAMPLES):
-            frames = stored[: n - i]
-            if fh.readinto(frames) != frames.nbytes:
-                raise FormatError(f"data chunk ended early, in samples {i}..{i + len(frames) - 1}")
+        wide = np.zeros((min(n, _CHUNK_SAMPLES), 4), np.uint8)  # PCM24 channel 0, widened to int32
+        out = np.empty(len(wide))
+        for _, frames in _payload(fh, data_at, n, _CHUNK_SAMPLES, frame_bytes, np.uint8, "data chunk", "samples"):
             if bits == 24:
                 wide[: len(frames), 1:] = frames[:, :3]
                 frames = wide[: len(frames)]
@@ -323,7 +363,7 @@ def write_wav(path, x: Waveform, encoding: str = "float32") -> None:
                 samples = chunk[i : i + _CHUNK_SAMPLES]
                 c = len(samples)
                 if encoding == "float32":
-                    yield _f32(samples, "WAV samples", out[:c])
+                    yield _f32(samples, "WAV samples", out)
                 else:  # clamp, scale by 32767 and round half away from zero
                     t, r = scaled[:c], rounded[:c]
                     np.clip(samples, -1.0, 1.0, out=t)
@@ -350,7 +390,7 @@ def _header(stream: _Stream) -> dict:
     return {
         "kind": stream.kind, "window": config.window.name, "clip": clip.mode, "clip_tau": clip.tau,
         "kaiser_beta": config.window.beta, "win_length": config.win_length, "hop_length": config.hop_length,
-        "centered": bool(config.centered), "sample_rate": stream.sample_rate,
+        "centered": config.centered, "sample_rate": stream.sample_rate,
         "original_length": stream.original_length, "n_frames": _geometry(config, stream.original_length)[0],
         "n_bins": expected_bins(stream.kind, config.win_length),
     }
@@ -379,7 +419,8 @@ def _write_spec(path, stream: _Stream) -> None:
             header += struct.pack("<" + code, fields[name])
         except struct.error as exc:
             raise InvalidInputError(f"MVS1 {name} {fields[name]!r} does not fit its header field: {exc}") from None
-    _atomic_write(path, itertools.chain((header,), (_f32(rows, "MVS1 payload values") for rows in stream.blocks())))
+    out = np.empty((min(fields["n_frames"], _BLOCK_FRAMES), fields["n_bins"]), "<f4")
+    _atomic_write(path, itertools.chain([header], (_f32(rows, "MVS1 payload values", out) for rows in stream.blocks())))
 
 
 def write_spec(path, spec: Spectrogram) -> None:
@@ -403,8 +444,7 @@ def _read_spec(fh) -> _Stream:
     widened, each checked by the rules :class:`Spectrogram` applies.  Any
     fault is a :class:`FormatError`.
     """
-    if not fh.seekable():  # a pipe: its size is known once it is read
-        fh = io.BytesIO(fh.read())
+    fh = _seekable(fh)
     raw = fh.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise FormatError(
@@ -428,7 +468,6 @@ def _read_spec(fh) -> _Stream:
         raise FormatError(
             f"payload size mismatch: header implies {expected} bytes, file holds {actual}"
         )
-    fh.seek(_HEADER.size)
     try:
         window = WindowKind(head["window"], head["kaiser_beta"])
         config = FrameConfig(head["win_length"], head["hop_length"], window, head["centered"] == 1)
@@ -438,12 +477,8 @@ def _read_spec(fh) -> _Stream:
         raise _invalid(exc) from exc
 
     def blocks(out=None):
-        stored = np.empty((min(n_frames, _BLOCK_FRAMES), n_bins), "<f4")
-        buf = np.empty(stored.shape) if out is None else None
-        for i in range(0, n_frames, _BLOCK_FRAMES):
-            chunk = stored[: n_frames - i]
-            if fh.readinto(chunk) != chunk.nbytes:
-                raise FormatError(f"payload ended early, in frames {i}..{i + len(chunk) - 1}")
+        buf = np.empty((min(n_frames, _BLOCK_FRAMES), n_bins)) if out is None else None
+        for i, chunk in _payload(fh, _HEADER.size, n_frames, _BLOCK_FRAMES, n_bins, "<f4", "payload", "frames"):
             rows = buf[: len(chunk)] if out is None else out[i : i + len(chunk)]
             np.copyto(rows, chunk)
             try:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidConfigError, InvalidInputError, _count, _finite
 from .signal import FrameConfig, Waveform, WindowKind
 from .transforms import dct2
-from .vocoder import ClipMode, _collect, _spectrum
+from .vocoder import analyze
 
 __all__ = ["McdConfig", "snr_db", "mcd", "mel_filterbank"]
 
@@ -116,9 +116,9 @@ def mel_filterbank(
 
 def _cepstra(x: Waveform, cfg: McdConfig, fb: np.ndarray) -> np.ndarray:
     frame_cfg = FrameConfig(cfg.fft_win, cfg.fft_hop, WindowKind.hann(), centered=True)
-    # x is a checked Waveform; clip none is only analyze's one finite scan, for rfft overflow.
+    # Clip none is only analyze's one finite scan, for rfft overflow.
     # The product stays one whole matmul: blocking it changes the BLAS bits.
-    mag = _collect(_spectrum(x._source(), frame_cfg, "magnitude", ClipMode(), 1)).data
+    mag = analyze(x, frame_cfg, "magnitude").data
     mel = np.log(np.maximum(mag @ fb.T, LOG_FLOOR))
     return dct2(mel)[:, 1 : cfg.n_cepstra + 1]
 

@@ -47,6 +47,8 @@ def parse_name_value(cls, text: str, names, keyed: str, what: str, missing: str,
     takes a float value.  ``missing`` is the error for a bare ``keyed``;
     ``bad`` prefixes the error for a value that is not a float.
     """
+    if not isinstance(text, str):
+        raise InvalidConfigError(f"{what} spec must be a string, got {text!r}")
     name, _, tail = text.partition(":")
     if text in names and text != keyed:
         return cls(text)
@@ -135,6 +137,9 @@ class FrameConfig:
             )
         if not isinstance(self.window, WindowKind):
             raise InvalidConfigError("window must be a WindowKind")
+        if not isinstance(self.centered, (bool, np.bool_)):
+            raise InvalidConfigError(f"centered must be True or False, got {self.centered!r}")
+        object.__setattr__(self, "centered", bool(self.centered))
 
 
 @dataclass(frozen=True, eq=False)

@@ -175,14 +175,9 @@ class Spectrogram:
         object.__setattr__(self, "original_length", int(self.original_length))
 
     def _stream(self) -> "_Stream":
-        """This spectrogram as a stream whose blocks are ``_BLOCK_FRAMES``-row views of ``data`` (or of ``out``)."""
-
-        def blocks(out=None):
-            if out is not None:
-                np.copyto(out, self.data)
-            return _row_blocks(self.data if out is None else out)
-
-        return _Stream(self.kind, self.config, self.clip, self.sample_rate, self.original_length, blocks)
+        """This spectrogram as a stream whose blocks are ``_BLOCK_FRAMES``-row views of ``data``."""
+        return _Stream(self.kind, self.config, self.clip, self.sample_rate, self.original_length,
+                       lambda: _row_blocks(self.data))
 
     def tau_floor(self) -> float:
         return _tau_floor(self.clip)
@@ -275,10 +270,12 @@ class _Stream(NamedTuple):
     the waveform side, where ``_spectrum`` is a sink and ``_synthesis`` a
     source.  The source has checked every
     metadata rule :class:`Spectrogram` applies before it returns; each row
-    ``blocks(out=None)`` yields, in frame order, is checked (or clipped) as
-    Spectrogram's value rules require, in ``out``'s rows when ``out`` (one
-    row per frame) is given, else in one buffer that every block reuses,
-    so a yielded block is valid only until the next.
+    ``blocks()`` yields, in frame order, is checked (or clipped) as
+    Spectrogram's value rules require.  A yielded block may be a reused
+    buffer, valid only until the next; a ``Spectrogram``'s are views of its
+    data.  Only analysis and the MVS1 reader, the sources ``_collect``
+    takes, also accept ``blocks(out)``, which lands the blocks in ``out``'s
+    rows (one row per frame) instead.
     """
 
     kind: str

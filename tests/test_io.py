@@ -21,6 +21,7 @@ from helpers import (
     lying_spec_bytes,
     make_wav_bytes,
     patch_payload,
+    patch_spec,
     random_spectrogram,
     spec_bytes,
     wav_fuzz_corpus,
@@ -379,6 +380,15 @@ def test_spec_frame_count_must_match_original_length(tmp_path, original_length):
         read_spec(path)
     path.write_bytes(lying_spec_bytes(0))
     assert read_spec(path).n_frames == 1
+
+
+def test_spec_centered_byte_must_be_0_or_1(tmp_path, rng):
+    path = tmp_path / "a.mvs"
+    path.write_bytes(patch_spec(spec_bytes(random_spectrogram(rng)), centered=2))
+    for read in (read_spec, spec_info):
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == "centered flag must be 0 or 1, got 2"
 
 
 def test_spec_truncated_header(tmp_path):

@@ -156,6 +156,20 @@ def test_mcd_config_takes_whole_counts_and_finite_band_edges(field, value, messa
     assert str(exc.value) == message
 
 
+def test_mcd_config_needs_a_mel_band():
+    with pytest.raises(InvalidConfigError) as exc:
+        McdConfig(n_mel_bands=0)
+    assert str(exc.value) == "n_mel_bands must be positive"
+
+
+@pytest.mark.parametrize("fmin", [4000.0, 5000.0])
+def test_mcd_fmin_at_or_above_nyquist_without_fmax_is_a_config_error(rng, fmin):
+    x = Waveform(rng.normal(size=4000), 8000)
+    with pytest.raises(InvalidConfigError) as exc:
+        mcd(x, x, McdConfig(fmin=fmin))
+    assert str(exc.value) == "fmax must exceed fmin"
+
+
 def test_mcd_config_stores_whole_float_counts_as_ints(rng):
     cfg = McdConfig(n_mel_bands=23.0, n_cepstra=13.0, fft_win=1024.0, fft_hop=256.0)
     assert cfg == McdConfig() and all(type(v) is int for v in (cfg.n_mel_bands, cfg.n_cepstra, cfg.fft_win, cfg.fft_hop))

@@ -156,6 +156,35 @@ def test_non_finite_or_non_real_numbers_are_config_or_input_errors(build, error,
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("centered", ["no", None, 1, 0.0, "True"])
+def test_frame_config_centered_must_be_a_bool(centered):
+    with pytest.raises(InvalidConfigError) as exc:
+        FrameConfig(64, 16, centered=centered)
+    assert str(exc.value) == f"centered must be True or False, got {centered!r}"
+
+
+def test_frame_config_stores_a_numpy_bool_as_a_bool():
+    cfg = FrameConfig(64, 16, centered=np.False_)
+    assert cfg.centered is False and cfg == FrameConfig(64, 16, centered=False)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: FrameConfig(4, 2, window="hann"), InvalidConfigError, "window must be a WindowKind"),
+        (lambda: WindowKind.parse(5), InvalidConfigError, "window spec must be a string, got 5"),
+        (lambda: WindowKind.parse(b"hann"), InvalidConfigError, "window spec must be a string, got b'hann'"),
+        (lambda: FrameMatrix(np.zeros(4), FrameConfig(4, 2), 4, 22050), InvalidInputError,
+         "frames must be 2-D, got shape (4,)"),
+    ],
+    ids=["str-window", "int-window-spec", "bytes-window-spec", "1d-frames"],
+)
+def test_wrong_typed_or_shaped_arguments_are_typed_errors(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_frame_matrix_row_width_checked():
     cfg = FrameConfig(4, 2, WindowKind.boxcar(), centered=False)
     with pytest.raises(InvalidInputError):

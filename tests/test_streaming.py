@@ -26,7 +26,7 @@ from specinv.io import _read_spec, read_spec, read_wav, spec_info, write_wav
 from specinv.metrics import mcd, snr_db
 from specinv.signal import WINDOW_NAMES, FrameConfig, Waveform, WindowKind
 from specinv.vocoder import (
-    _BLOCK_FRAMES, CLIP_MODES, KINDS, SPECTROGRAM_KINDS, ClipMode, Spectrogram, _collect, analyze, synthesize,
+    _BLOCK_FRAMES, CLIP_MODES, KINDS, SPECTROGRAM_KINDS, ClipMode, Spectrogram, analyze, synthesize,
 )
 
 KIND_CLIPS = [
@@ -182,10 +182,7 @@ def test_a_spectrogram_streams_its_rows_as_it_holds_them(kind, clip):
     views = list(stream.blocks())
     assert [len(rows) for rows in views] == [_BLOCK_FRAMES, _BLOCK_FRAMES, spec.n_frames - 2 * _BLOCK_FRAMES]
     assert all(np.shares_memory(rows, spec.data) for rows in views)
-    copy = _collect(stream)
-    assert not np.shares_memory(copy.data, spec.data) and not copy.data.flags.writeable
-    assert np.array_equal(copy.data, spec.data)
-    assert vars(copy) == {**vars(spec), "data": copy.data}
+    assert np.array_equal(np.concatenate(views), spec.data)
 
 
 def test_a_file_cut_short_while_read_is_a_format_error(tmp_path):
@@ -277,6 +274,29 @@ def test_info_reads_a_pipe_as_it_reads_the_file(tmp_path, name):
     code, out, err = run_cli("info", tmp_path / name)
     assert (code, err) == (0, "") and out.startswith(("format\t", "kind\t"))
     assert run_cli_on_pipe(raw, "info") == (code, out, err)
+
+
+PIPED_WAV_COMMANDS = {
+    "analyze": ("out.mvs", "--algo", "dct", "--win", 64, "--hop", 16),
+    "roundtrip": ("out.wav", "--algo", "prft", "--win", 64, "--hop", 16, "--report"),
+    "metrics": ("est.wav",),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("command", sorted(PIPED_WAV_COMMANDS))
+def test_wav_commands_read_a_pipe_as_they_read_the_file(tmp_path, command):
+    x = Waveform(np.random.default_rng(3).normal(size=70000) * 0.3, 16000)  # two WAV reader chunks
+    write_wav(tmp_path / "in.wav", x)
+    write_wav(tmp_path / "est.wav", Waveform(x.samples[::-1], 16000))
+    rest = [tmp_path / a if str(a).endswith((".mvs", ".wav")) else a for a in PIPED_WAV_COMMANDS[command]]
+    code, out, err = run_cli(command, tmp_path / "in.wav", *rest)
+    assert (code, err) == (0, "") and (command == "analyze" or out.startswith("snr_db\t"))
+    made = {p.name: p.read_bytes() for p in tmp_path.glob("out.*")}
+    for name in made:
+        (tmp_path / name).unlink()
+    assert run_cli_on_pipe((tmp_path / "in.wav").read_bytes(), command, *rest) == (code, out, err)
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("out.*")} == made
 
 
 # ---------------------------------------------------------------------------

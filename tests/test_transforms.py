@@ -130,6 +130,12 @@ def test_packed_rejects_odd_lengths(op):
         op(np.zeros(5))
 
 
+def test_a_3d_input_is_an_input_error():
+    with pytest.raises(InvalidInputError) as exc:
+        dct2(np.zeros((2, 3, 4)))
+    assert str(exc.value) == "dct2 expects a frame or a batch of frames, got ndim=3"
+
+
 @pytest.mark.parametrize("op,_oracle,_even", FORWARD_ORACLES)
 def test_short_frames_rejected(op, _oracle, _even):
     with pytest.raises(InvalidInputError):

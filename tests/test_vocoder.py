@@ -216,6 +216,40 @@ def test_wrong_typed_arguments_are_typed_errors(build, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: _spectrogram(data=np.zeros(8)), InvalidInputError, "spectrogram data must be 2-D, got shape (8,)"),
+        (lambda: ClipMode("soft"), InvalidConfigError,
+         "unknown clip mode 'soft'; expected one of ('none', 'zero', 'threshold')"),
+        (lambda: ClipMode.parse(None), InvalidConfigError, "clip spec must be a string, got None"),
+        (lambda: apply_clip([[1.0]], 5), InvalidConfigError, "clip spec must be a string, got 5"),
+        (lambda: analyze(Waveform(np.zeros(400), 22050), FrameConfig(16, 4), "dct", 5), InvalidConfigError,
+         "clip spec must be a string, got 5"),
+        (lambda: analyze(Waveform(np.zeros(400), 22050), FrameConfig(16, 4), "dct", "soft"), InvalidConfigError,
+         "unknown clip spec 'soft'"),
+        (lambda: apply_clip([[1.0]], "threshold"), InvalidConfigError,
+         "threshold clipping needs a level, e.g. 'threshold:0.05'"),
+    ],
+    ids=["1d-data", "unknown-mode", "none-clip-spec", "int-clip-spec-apply", "int-clip-spec-analyze",
+         "bad-clip-spec-analyze", "bare-threshold-apply"],
+)
+def test_bad_data_and_clip_specs_are_typed_errors(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("clip", ["none", "zero", "threshold:0.05"])
+def test_a_clip_spec_string_acts_as_its_clip_mode(rng, clip):
+    x = Waveform(rng.normal(size=4000) * 0.3, 22050)
+    data = rng.normal(size=(5, 8)) * 0.1
+    assert np.array_equal(apply_clip(data, clip), apply_clip(data, ClipMode.parse(clip)))
+    got = analyze(x, FrameConfig(64, 16), "dct", clip)
+    assert got.clip == ClipMode.parse(clip)
+    assert np.array_equal(got.data, analyze(x, FrameConfig(64, 16), "dct", ClipMode.parse(clip)).data)
+
+
 def test_a_whole_float_original_length_is_stored_as_an_int():
     spec = _spectrogram(original_length=4.0)
     assert type(spec.original_length) is int and spec.original_length == 4
