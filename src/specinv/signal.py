@@ -9,7 +9,7 @@ not vanishingly small.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -40,31 +40,42 @@ WINDOW_NAMES = ("hann", "kaiser", "boxcar")
 _CHUNK_SAMPLES = 1 << 16
 
 
-def parse_name_value(cls, text: str, names, keyed: str, what: str, missing: str, bad: str):
-    """Parse a ``name`` or ``keyed:VALUE`` spec into ``cls(name[, value])``.
+class _NameValue:
+    """The ``name`` or ``keyed:VALUE`` spec format of a two-field dataclass ``(name, value)``.
 
-    ``names`` are the valid names; ``keyed`` is the one among them that
-    takes a float value.  ``missing`` is the error for a bare ``keyed``;
-    ``bad`` prefixes the error for a value that is not a float.
+    The one home of the format the ``--window`` and ``--clip`` flags take.
+    A subclass names its valid ``_names``, the ``_keyed`` one among them
+    that takes a float value, the ``_noun`` its errors call it, the
+    ``_missing`` error for a bare ``_keyed`` and the ``_bad`` prefix of the
+    error for a value that is not a float.
     """
-    if not isinstance(text, str):
-        raise InvalidConfigError(f"{what} spec must be a string, got {text!r}")
-    name, _, tail = text.partition(":")
-    if text in names and text != keyed:
-        return cls(text)
-    if name != keyed:
-        raise InvalidConfigError(f"unknown {what} spec {text!r}")
-    if not tail:
-        raise InvalidConfigError(missing)
-    try:
-        value = float(tail)
-    except ValueError:
-        raise InvalidConfigError(f"{bad} {tail!r}") from None
-    return cls(name, value)
+
+    @classmethod
+    def parse(cls, text: str):
+        """Parse a spec such as ``"hann"``, ``"kaiser:8.5"``, ``"zero"`` or ``"threshold:0.05"``."""
+        if not isinstance(text, str):
+            raise InvalidConfigError(f"{cls._noun} spec must be a string, got {text!r}")
+        name, _, tail = text.partition(":")
+        if text in cls._names and text != cls._keyed:
+            return cls(text)
+        if name != cls._keyed:
+            raise InvalidConfigError(f"unknown {cls._noun} spec {text!r}")
+        if not tail:
+            raise InvalidConfigError(cls._missing)
+        try:
+            value = float(tail)
+        except ValueError:
+            raise InvalidConfigError(f"{cls._bad} {tail!r}") from None
+        return cls(name, value)
+
+    def label(self) -> str:
+        """The spec :meth:`parse` reads back as this value."""
+        name, value = (getattr(self, f.name) for f in fields(self))
+        return f"{name}:{value:g}" if name == self._keyed else name
 
 
 @dataclass(frozen=True)
-class WindowKind:
+class WindowKind(_NameValue):
     """Analysis window selector: ``hann`` (periodic), ``kaiser`` or ``boxcar``.
 
     ``beta`` is the Kaiser shape parameter and must stay 0.0 for the other
@@ -73,6 +84,8 @@ class WindowKind:
 
     name: str = "hann"
     beta: float = 0.0
+    _names, _keyed, _noun = WINDOW_NAMES, "kaiser", "window"
+    _missing, _bad = "kaiser window needs a beta, e.g. 'kaiser:8.0'", "bad kaiser beta"
 
     def __post_init__(self):
         if self.name not in WINDOW_NAMES:
@@ -98,20 +111,6 @@ class WindowKind:
     @classmethod
     def kaiser(cls, beta: float) -> "WindowKind":
         return cls("kaiser", float(beta))
-
-    @classmethod
-    def parse(cls, text: str) -> "WindowKind":
-        """Parse ``"hann"``, ``"boxcar"`` or ``"kaiser:BETA"``."""
-        return parse_name_value(
-            cls, text, WINDOW_NAMES, "kaiser", "window",
-            missing="kaiser window needs a beta, e.g. 'kaiser:8.0'",
-            bad="bad kaiser beta",
-        )
-
-    def label(self) -> str:
-        if self.name == "kaiser":
-            return f"kaiser:{self.beta:g}"
-        return self.name
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from .errors import (
     InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _count, _finite, _whole,
 )
 from .signal import (
-    _CHUNK_SAMPLES, FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _overlap_add, _Samples,
-    parse_name_value,
+    _CHUNK_SAMPLES, FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _NameValue, _overlap_add,
+    _Samples,
 )
 
 __all__ = [
@@ -90,7 +90,7 @@ def _check_kind_rules(kind: str, config: FrameConfig, clip: ClipMode) -> Kind:
 
 
 @dataclass(frozen=True)
-class ClipMode:
+class ClipMode(_NameValue):
     """Coefficient clipping: ``none``, ``zero`` (ReLU) or ``threshold``.
 
     ``zero`` keeps only nonnegative coefficients; ``threshold`` zeroes
@@ -100,6 +100,8 @@ class ClipMode:
 
     mode: str = "none"
     tau: float = 0.0
+    _names, _keyed, _noun = CLIP_MODES, "threshold", "clip"
+    _missing, _bad = "threshold clipping needs a level, e.g. 'threshold:0.05'", "bad threshold level"
 
     def __post_init__(self):
         if self.mode not in CLIP_MODES:
@@ -125,20 +127,6 @@ class ClipMode:
     @classmethod
     def threshold(cls, tau: float) -> "ClipMode":
         return cls("threshold", float(tau))
-
-    @classmethod
-    def parse(cls, text: str) -> "ClipMode":
-        """Parse ``"none"``, ``"zero"`` or ``"threshold:TAU"``."""
-        return parse_name_value(
-            cls, text, CLIP_MODES, "threshold", "clip",
-            missing="threshold clipping needs a level, e.g. 'threshold:0.05'",
-            bad="bad threshold level",
-        )
-
-    def label(self) -> str:
-        if self.mode == "threshold":
-            return f"threshold:{self.tau:g}"
-        return self.mode
 
 
 def expected_bins(kind: str, win_length: int) -> int:
