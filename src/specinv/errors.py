@@ -6,10 +6,13 @@ know the standard hierarchy still catch them.  ``_finite`` and ``_whole``
 are the one definition of a finite and of a whole number that the
 parameter checks share, so NaN, inf or a non-number fails the check with
 its own error instead of escaping from ``int()`` or ``np.isfinite``;
-``_count`` is the check of a count such as ``workers`` or ``runs``.
+``_count`` is the check of a count such as ``workers`` or ``runs``, and
+``_reals`` the one way array input enters the library.
 """
 import math
 import numbers
+
+import numpy as np
 
 __all__ = [
     "SpecinvError",
@@ -71,3 +74,19 @@ def _count(name: str, value, low: int) -> int:
     if not _whole(value):
         raise InvalidConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _reals(name: str, values, ndim: int = 0) -> np.ndarray:
+    """``values`` as a float64 array (a float64 array as it is), else an InvalidInputError.
+
+    Only bool, integer and real floating dtypes convert: complex input is
+    refused, not cast to its real part, and strings or objects are not
+    numbers.  A nonzero ``ndim`` is the number of dimensions required.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
+    if ndim and a.ndim != ndim:
+        raise InvalidInputError(f"{name} must be {ndim}-D, got shape {a.shape}")
+    return a

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, _finite, _whole
+from .errors import InvalidConfigError, InvalidInputError, _finite, _reals, _whole
 
 __all__ = [
     "OLA_EPS",
@@ -147,17 +147,15 @@ class Waveform:
 
     Samples are stored as float64 in nominal range [-1, 1] and must be
     finite; the constructor validates whatever array-like it gets and
-    converts it with ``np.asarray``, so a float64 array is kept as it is,
-    not copied.
+    converts real-valued input to float64, so a float64 array is kept as
+    it is, not copied.  Complex or non-numeric input is refused.
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise InvalidInputError(f"waveform must be 1-D, got shape {samples.shape}")
+        samples = _reals("waveform", self.samples, 1)
         if not np.isfinite(samples).all():
             raise InvalidInputError("waveform contains NaN or Inf samples")
         if not _whole(self.sample_rate) or self.sample_rate <= 0:
@@ -206,9 +204,7 @@ class FrameMatrix:
     sample_rate: int
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2:
-            raise InvalidInputError(f"frames must be 2-D, got shape {frames.shape}")
+        frames = _reals("frames", self.frames, 2)
         if frames.shape[1] != self.config.win_length:
             raise InvalidInputError(
                 f"frame rows must have win_length={self.config.win_length} entries, "

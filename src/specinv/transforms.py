@@ -41,7 +41,7 @@ import numpy as np
 import scipy.fft
 import scipy.fftpack
 
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, _reals
 
 __all__ = [
     "dft_real_part",
@@ -54,7 +54,7 @@ __all__ = [
 
 
 def _as_frames(values, op: str) -> np.ndarray:
-    a = np.asarray(values, dtype=np.float64)
+    a = _reals(f"{op} input", values)
     if a.ndim not in (1, 2):
         raise InvalidInputError(f"{op} expects a frame or a batch of frames, got ndim={a.ndim}")
     if a.shape[-1] < 2:

@@ -18,7 +18,7 @@ import scipy.fft
 
 from . import transforms
 from .errors import (
-    InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _count, _finite, _whole,
+    InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _count, _finite, _reals, _whole,
 )
 from .signal import (
     _CHUNK_SAMPLES, FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _NameValue, _overlap_add,
@@ -151,9 +151,7 @@ class Spectrogram:
     original_length: int
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
-            raise InvalidInputError(f"spectrogram data must be 2-D, got shape {data.shape}")
+        data = _reals("spectrogram data", self.data, 2)
         _check_metadata(self.kind, self.config, self.clip, self.sample_rate, self.original_length, *data.shape)
         for rows in _row_blocks(data):
             _check_rows(rows, self.kind, self.clip)
@@ -234,7 +232,7 @@ def apply_clip(data, mode: ClipMode) -> np.ndarray:
     """
     if not isinstance(mode, ClipMode):
         mode = ClipMode.parse(mode)
-    a = np.asarray(data, dtype=np.float64)
+    a = _reals("clip input", data)
     return _clip(a if mode.mode == "none" else a.copy(), mode)
 
 

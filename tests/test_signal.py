@@ -185,6 +185,33 @@ def test_wrong_typed_or_shaped_arguments_are_typed_errors(build, error, message)
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Waveform(["a"], 8000), "waveform must hold real numbers, got dtype <U1"),
+        (lambda: Waveform(np.array([1 + 2j]), 8000), "waveform must hold real numbers, got dtype complex128"),
+        (lambda: Waveform(np.array([0.5, None]), 8000), "waveform must hold real numbers, got dtype object"),
+        (lambda: FrameMatrix(np.zeros((3, 4)) * 1j, FrameConfig(4, 2), 4, 22050),
+         "frames must hold real numbers, got dtype complex128"),
+    ],
+    ids=["str-samples", "complex-samples", "object-samples", "complex-frames"],
+)
+def test_non_real_array_input_is_an_input_error_not_a_cast(build, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning would mean the imaginary part was dropped
+        with pytest.raises(InvalidInputError) as exc:
+            build()
+    assert str(exc.value) == message
+
+
+def test_real_array_input_of_any_real_dtype_is_kept_or_converted():
+    x = np.zeros(5)
+    assert Waveform(x, 8000).samples is x
+    for values in ([True, False], np.arange(2, dtype=np.int16), np.ones(2, np.float32)):
+        samples = Waveform(values, 8000).samples
+        assert samples.dtype == np.float64 and samples.tolist() == np.asarray(values).tolist()
+
+
 def test_frame_matrix_row_width_checked():
     cfg = FrameConfig(4, 2, WindowKind.boxcar(), centered=False)
     with pytest.raises(InvalidInputError):

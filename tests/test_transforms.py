@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -134,6 +136,17 @@ def test_a_3d_input_is_an_input_error():
     with pytest.raises(InvalidInputError) as exc:
         dct2(np.zeros((2, 3, 4)))
     assert str(exc.value) == "dct2 expects a frame or a batch of frames, got ndim=3"
+
+
+@pytest.mark.parametrize("op", [dft_real_part, idft_from_real, dct2, dct3, rfft_packed, irfft_packed],
+                         ids=lambda op: op.__name__)
+@pytest.mark.parametrize("frames,dtype", [("ab", "<U2"), (np.ones((2, 4)) * 1j, "complex128")], ids=["str", "complex"])
+def test_non_real_frames_are_an_input_error_not_a_cast(op, frames, dtype):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning would mean the imaginary part was dropped
+        with pytest.raises(InvalidInputError) as exc:
+            op(frames)
+    assert str(exc.value) == f"{op.__name__} input must hold real numbers, got dtype {dtype}"
 
 
 @pytest.mark.parametrize("op,_oracle,_even", FORWARD_ORACLES)

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,24 @@ def test_wrong_typed_arguments_are_typed_errors(build, error, message):
 def test_bad_data_and_clip_specs_are_typed_errors(build, error, message):
     with pytest.raises(error) as exc:
         build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: apply_clip([1j], "zero"), "clip input must hold real numbers, got dtype complex128"),
+        (lambda: apply_clip(np.ones(3) * 1j, "none"), "clip input must hold real numbers, got dtype complex128"),
+        (lambda: apply_clip(["a"], "zero"), "clip input must hold real numbers, got dtype <U1"),
+        (lambda: _spectrogram(data=np.zeros((3, 8)) * 1j), "spectrogram data must hold real numbers, got dtype complex128"),
+    ],
+    ids=["complex-list-clip", "complex-array-clip-none", "str-clip", "complex-spectrogram"],
+)
+def test_non_real_data_is_an_input_error_not_a_cast(build, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning would mean the imaginary part was dropped
+        with pytest.raises(InvalidInputError) as exc:
+            build()
     assert str(exc.value) == message
 
 
