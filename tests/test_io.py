@@ -31,6 +31,7 @@ from specinv.cli import dispatch
 from specinv.errors import FormatError, InvalidInputError, UnsupportedCodecError
 from specinv.io import (
     MultiChannelWarning,
+    _atomic_write,
     read_spec,
     read_wav,
     spec_info,
@@ -206,6 +207,22 @@ def test_write_spec_of_fortran_ordered_data_writes_the_bytes_of_its_c_copy(tmp_p
     write_spec(tmp_path / "f.mvs", fortran)
     write_spec(tmp_path / "c.mvs", spec)
     assert (tmp_path / "f.mvs").read_bytes() == (tmp_path / "c.mvs").read_bytes()
+
+
+def test_a_failed_write_whose_cleanup_fails_too_raises_the_write_error(tmp_path, monkeypatch):
+    def chunks():
+        yield b"head"
+        raise InvalidInputError("bad block")
+
+    def unlink(path):
+        raise PermissionError(f"cannot remove {path}")
+
+    monkeypatch.setattr(os, "unlink", unlink)
+    with pytest.raises(InvalidInputError, match="^bad block$"):
+        _atomic_write(tmp_path / "out.bin", chunks())
+    monkeypatch.undo()
+    (tmp,) = tmp_path.iterdir()  # the temporary file the failed unlink left; out.bin was never made
+    assert tmp.suffix == ".tmp" and tmp.read_bytes() == b"head"
 
 
 def test_unknown_encoding_rejected(tmp_path):

@@ -207,6 +207,15 @@ def test_chunks_after_the_data_chunk_are_walked_and_checked(tmp_path):
     assert np.array_equal(read_wav(path).samples, np.array([5, 6]) / 32768.0)
 
 
+def test_an_odd_sized_chunk_before_the_data_chunk_is_skipped_with_its_pad_byte(tmp_path):
+    good = make_wav_bytes(struct.pack("<3h", 1, 2, 3), 1, 16)
+    body = good[12:36] + b"LIST" + struct.pack("<I", 3) + b"abc" + b"\x00" + good[36:]  # fmt, LIST + pad, data
+    path = tmp_path / "a.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    assert np.array_equal(read_wav(path).samples, np.array([1, 2, 3]) / 32768.0)
+    assert wav_info(path)["n_samples"] == 3
+
+
 def test_a_wav_cut_short_while_read_is_a_format_error(tmp_path):
     path = tmp_path / "a.wav"
     path.write_bytes(make_wav_bytes(np.zeros(2 * C, "<i2").tobytes(), 1, 16))
