@@ -247,7 +247,8 @@ def test_bad_data_and_clip_specs_are_typed_errors(build, error, message):
         (lambda: apply_clip([1j], "zero"), "clip input must hold real numbers, got dtype complex128"),
         (lambda: apply_clip(np.ones(3) * 1j, "none"), "clip input must hold real numbers, got dtype complex128"),
         (lambda: apply_clip(["a"], "zero"), "clip input must hold real numbers, got dtype <U1"),
-        (lambda: _spectrogram(data=np.zeros((3, 8)) * 1j), "spectrogram data must hold real numbers, got dtype complex128"),
+        (lambda: _spectrogram(data=np.zeros((3, 8)) * 1j),
+         "spectrogram data must hold real numbers, got dtype complex128"),
     ],
     ids=["complex-list-clip", "complex-array-clip-none", "str-clip", "complex-spectrogram"],
 )
