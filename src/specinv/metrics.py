@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, _count, _finite
+from .errors import InvalidConfigError, InvalidInputError, _count
 from .signal import FrameConfig, Waveform, WindowKind
 from .transforms import dct2
 from .vocoder import analyze
@@ -20,26 +20,25 @@ __all__ = ["McdConfig", "snr_db", "mcd", "mel_filterbank"]
 
 # Floor applied before the log of mel band energies.
 LOG_FLOOR = 1e-10
+# The one analysis every mcd runs.
+_MCD_FRAMES = FrameConfig(1024, 256, WindowKind.hann(), centered=True)
 
 
 @dataclass(frozen=True)
 class McdConfig:
-    """Mel-cepstral pipeline constants.
+    """The two counts a caller chooses for :func:`mcd`.
 
-    Defaults follow the common Kubichek-style setup: 23 mel bands, 13
-    cepstra (c1..c13, excluding the gain term c0), 1024/256 hann analysis.
-    ``fmax=None`` means sample_rate / 2.
+    Defaults follow the common Kubichek-style setup: 23 mel bands and 13
+    cepstra (c1..c13, excluding the gain term c0).  The analysis itself is
+    fixed: centered 1024/256 hann frames, mel bands from 0 Hz to
+    sample_rate / 2.
     """
 
     n_mel_bands: int = 23
     n_cepstra: int = 13
-    fft_win: int = 1024
-    fft_hop: int = 256
-    fmin: float = 0.0
-    fmax: float | None = None
 
     def __post_init__(self):
-        for name in ("n_mel_bands", "n_cepstra", "fft_win", "fft_hop"):
+        for name in ("n_mel_bands", "n_cepstra"):
             # any whole number; the bounds below word their own messages
             object.__setattr__(self, name, _count(name, getattr(self, name), -math.inf))
         if self.n_mel_bands < 1:
@@ -49,12 +48,6 @@ class McdConfig:
                 f"n_cepstra must satisfy 0 < n_cepstra < n_mel_bands, got "
                 f"{self.n_cepstra} vs {self.n_mel_bands} bands"
             )
-        if not 1 <= self.fft_hop <= self.fft_win:
-            raise InvalidConfigError("fft_hop must satisfy 1 <= hop <= win")
-        if not (_finite(self.fmin) and self.fmin >= 0):
-            raise InvalidConfigError(f"fmin must be a finite number >= 0, got {self.fmin!r}")
-        if self.fmax is not None and not (_finite(self.fmax) and self.fmax > self.fmin):
-            raise InvalidConfigError(f"fmax must be a finite number above fmin, got {self.fmax!r}")
 
 
 def snr_db(reference: Waveform, estimate: Waveform) -> float:
@@ -115,10 +108,9 @@ def mel_filterbank(
 
 
 def _cepstra(x: Waveform, cfg: McdConfig, fb: np.ndarray) -> np.ndarray:
-    frame_cfg = FrameConfig(cfg.fft_win, cfg.fft_hop, WindowKind.hann(), centered=True)
     # Clip none is only analyze's one finite scan, for rfft overflow.
     # The product stays one whole matmul: blocking it changes the BLAS bits.
-    mag = analyze(x, frame_cfg, "magnitude").data
+    mag = analyze(x, _MCD_FRAMES, "magnitude").data
     mel = np.log(np.maximum(mag @ fb.T, LOG_FLOOR))
     return dct2(mel)[:, 1 : cfg.n_cepstra + 1]
 
@@ -126,9 +118,9 @@ def _cepstra(x: Waveform, cfg: McdConfig, fb: np.ndarray) -> np.ndarray:
 def mcd(reference: Waveform, estimate: Waveform, cfg: McdConfig = McdConfig()) -> float:
     """Mel-cepstral distance between two aligned waveforms (lower is better).
 
-    Pipeline: hann magnitude spectrogram (the ``magnitude`` kind's
-    transform of the framed signal) -> unit-area mel filterbank ->
-    ``log(max(., 1e-10))`` -> orthonormal DCT-II over bands -> keep
+    Pipeline: magnitude spectrogram of centered 1024/256 hann frames (the
+    ``magnitude`` kind's transform of the framed signal) -> unit-area mel
+    filterbank from 0 Hz to sample_rate / 2 -> ``log(max(., 1e-10))`` -> orthonormal DCT-II over bands -> keep
     c1..c_{n_cepstra}.  Per-frame distance is
     ``(10/ln 10) * sqrt(2 * sum_i (c_i - chat_i)^2)`` and the result is the
     mean over frames.  Excluding c0 makes the measure invariant to overall
@@ -139,10 +131,7 @@ def mcd(reference: Waveform, estimate: Waveform, cfg: McdConfig = McdConfig()) -
         raise InvalidConfigError(f"mcd needs an McdConfig, got {type(cfg).__name__}")
     if len(reference) == 0:
         raise InvalidInputError("mcd needs at least one analysis frame")
-    fmax = cfg.fmax if cfg.fmax is not None else reference.sample_rate / 2.0
-    if fmax <= cfg.fmin:
-        raise InvalidConfigError("fmax must exceed fmin")
-    fb = mel_filterbank(cfg.n_mel_bands, cfg.fft_win, reference.sample_rate, cfg.fmin, fmax)
+    fb = mel_filterbank(cfg.n_mel_bands, _MCD_FRAMES.win_length, reference.sample_rate, 0.0, reference.sample_rate / 2.0)
     c_ref = _cepstra(reference, cfg, fb)
     c_est = _cepstra(estimate, cfg, fb)
     per_frame = np.sqrt(2.0 * np.sum((c_ref - c_est) ** 2, axis=1))

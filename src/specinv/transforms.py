@@ -7,8 +7,10 @@ Routines in this module (forward / inverse):
     rfft_packed / irfft_packed       -- real FFT packed into N reals
 
 Every function accepts a single frame (1-D) or a batch of frames (2-D,
-one frame per row) and transforms along the last axis.  ``workers`` is
-forwarded to scipy's pocketfft backend and only matters for batches.
+one frame per row) and transforms along the last axis.  ``workers``, a
+whole number >= 1, is forwarded to scipy's pocketfft backend and only
+matters for batches; scipy's ``-1`` for "all cores" is refused, as
+``analyze`` and ``synthesize`` refuse it.
 
 Each forward transform is a private kernel ``_name(a, out, workers)``
 that writes the transform of ``a`` into ``out``, where ``out`` may be
@@ -41,7 +43,7 @@ import numpy as np
 import scipy.fft
 import scipy.fftpack
 
-from .errors import InvalidConfigError, InvalidInputError, _reals
+from .errors import InvalidConfigError, InvalidInputError, _count, _reals
 
 __all__ = [
     "dft_real_part",
@@ -53,13 +55,14 @@ __all__ = [
 ]
 
 
-def _as_frames(values, op: str) -> np.ndarray:
+def _as_frames(values, op: str, workers) -> tuple[np.ndarray, int]:
+    """``values`` as a float64 frame or batch of frames, and ``workers`` as a count >= 1."""
     a = _reals(f"{op} input", values)
     if a.ndim not in (1, 2):
         raise InvalidInputError(f"{op} expects a frame or a batch of frames, got ndim={a.ndim}")
     if a.shape[-1] < 2:
         raise InvalidInputError(f"{op} needs frames of length >= 2, got {a.shape[-1]}")
-    return a
+    return a, _count("workers", workers, 1)
 
 
 def _require_even(n: int, op: str) -> None:
@@ -100,7 +103,7 @@ def dft_real_part(frame, workers: int = 1) -> np.ndarray:
     imaginary half discarded here is what makes the pipeline built on it
     lossy.
     """
-    a = _as_frames(frame, "dft_real_part")
+    a, workers = _as_frames(frame, "dft_real_part", workers)
     return _real_dft(a, np.empty_like(a), workers)
 
 
@@ -111,7 +114,7 @@ def idft_from_real(coeffs, workers: int = 1) -> np.ndarray:
     For a real spectrum that real part is the forward transform's, scaled
     by 1/N.
     """
-    a = _as_frames(coeffs, "idft_from_real")
+    a, workers = _as_frames(coeffs, "idft_from_real", workers)
     return _real_dft(a, np.empty_like(a), workers, norm="forward")
 
 
@@ -122,13 +125,13 @@ def dct2(frame, workers: int = 1) -> np.ndarray:
     Orthonormal scaling makes dct2/dct3 mutual inverses and preserves
     the l2 norm.
     """
-    a = _as_frames(frame, "dct2")
+    a, workers = _as_frames(frame, "dct2", workers)
     return _dct2(a, np.empty_like(a), workers)
 
 
 def dct3(coeffs, workers: int = 1) -> np.ndarray:
     """Orthonormal DCT-III, the exact inverse of :func:`dct2`."""
-    a = _as_frames(coeffs, "dct3")
+    a, workers = _as_frames(coeffs, "dct3", workers)
     return scipy.fft.dct(a, type=3, norm="ortho", axis=-1, workers=workers)
 
 
@@ -138,14 +141,14 @@ def rfft_packed(frame, workers: int = 1) -> np.ndarray:
     Hermitian symmetry of the real-input DFT makes the dropped upper half
     redundant, so no information is lost.
     """
-    a = _as_frames(frame, "rfft_packed")
+    a, workers = _as_frames(frame, "rfft_packed", workers)
     _require_even(a.shape[-1], "rfft_packed")
     return _rfft_packed(a, np.empty_like(a), workers)
 
 
 def irfft_packed(packed, workers: int = 1) -> np.ndarray:
     """Exact inverse of :func:`rfft_packed`."""
-    a = _as_frames(packed, "irfft_packed")
+    a, workers = _as_frames(packed, "irfft_packed", workers)
     _require_even(a.shape[-1], "irfft_packed")
     with scipy.fft.set_workers(workers):
         return scipy.fftpack.irfft(a, axis=-1)

@@ -212,9 +212,10 @@ def oracle_mcd(ref: Waveform, est: Waveform, n_bands=23, n_cep=13, win=1024, hop
     def cepstra(x):
         config = FrameConfig(win, hop, centered=True)
         frames = oracle_frame_signal(x, config)
+        # one summation matrix for every frame: column j of oracle_dft(frames.T) is frame j's DFT
+        spectra = oracle_dft(frames.T).T[:, : win // 2 + 1]
         rows = []
-        for frame in frames:
-            spectrum = oracle_dft(frame)[: win // 2 + 1]
+        for spectrum in spectra:
             mel = np.log(np.maximum(fbank @ np.abs(spectrum), 1e-10))
             rows.append(oracle_dct2(mel)[1 : n_cep + 1])
         return np.array(rows)

@@ -187,3 +187,40 @@ def test_verdict_rules():
     # ...unless every change run beats every parent run
     assert _verdict(wide, [v + 100.0 for v in wide], "higher") == "gain"
 
+
+
+def test_pin_malloc_adds_the_thresholds_to_the_child_environment_only(monkeypatch):
+    monkeypatch.setenv("SPECINV_AB_PROBE", "kept")
+    for name in ab.MALLOC_PIN:
+        monkeypatch.delenv(name, raising=False)
+    pinned, default = ab.child_env(True), ab.child_env(False)
+    assert pinned["MALLOC_MMAP_THRESHOLD_"] == "33554432" and pinned["MALLOC_TRIM_THRESHOLD_"] == "134217728"
+    assert pinned["SPECINV_AB_PROBE"] == default["SPECINV_AB_PROBE"] == "kept"
+    assert not set(ab.MALLOC_PIN) & set(default) and not set(ab.MALLOC_PIN) & set(ab.os.environ)
+
+
+def test_a_run_passes_its_environment_and_records_its_childrens_usage(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen["env"] = env
+        Path(cmd[cmd.index("--record") + 1]).write_text(json.dumps({"end_to_end": {"m": 1.0}, "failed": 0}))
+        return ab.subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    env = ab.child_env(True)
+    record = ab._run(tmp_path, "coarse", 1, 1.0, str(tmp_path), "coarse-0-parent", env)
+    assert seen["env"] is env
+    assert record["end_to_end"] == {"m": 1.0}
+    # nothing was spawned, so no child finished during the run
+    assert record["minflt"] == 0 and record["sys_s"] == 0.0
+
+
+def test_summarize_gives_each_sides_median_child_usage():
+    runs = [dict(_run(i, side, 100.0, 50.0), minflt=1000 * (i + 1) + (side == "change"), sys_s=0.1 * (i + 1))
+            for i in range(3) for side in ab.SIDES]
+    runs.append(_run(3, "parent", 100.0, 50.0))  # a run without usage keys is left out of the medians
+    children = ab.summarize(runs, {"synth_khz.dct": "higher"})["children"]
+    assert children["parent"] == {"minflt": 2000, "sys_s": pytest.approx(0.2)}
+    assert children["change"] == {"minflt": 2001, "sys_s": pytest.approx(0.2)}
+    assert ab.summarize([_run(0, "parent", 1.0, 1.0)], {})["children"]["change"] == {"minflt": None, "sys_s": None}

@@ -147,6 +147,14 @@ def test_info_on_garbage_is_format_error(tmp_path, capsys):
     assert err.startswith("error: format:") and err.count("\n") == 1
 
 
+def test_main_exits_with_the_code_dispatch_returns(tmp_path, wav_path, monkeypatch):
+    for argv, code in ([str(wav_path)], 0), ([str(tmp_path / "missing.wav")], 1), ([], 2):
+        monkeypatch.setattr("sys.argv", ["specinv", "info", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code == dispatch(["info", *argv])
+
+
 # ---------------------------------------------------------------------------
 # Error paths: nonzero exit, single-line messages, no partial outputs
 # ---------------------------------------------------------------------------

@@ -149,6 +149,25 @@ def test_non_real_frames_are_an_input_error_not_a_cast(op, frames, dtype):
     assert str(exc.value) == f"{op.__name__} input must hold real numbers, got dtype {dtype}"
 
 
+@pytest.mark.parametrize("op", [dft_real_part, idft_from_real, dct2, dct3, rfft_packed, irfft_packed],
+                         ids=lambda op: op.__name__)
+@pytest.mark.parametrize(
+    "workers,message",
+    [
+        (0, "workers must be >= 1"),
+        (-5, "workers must be >= 1"),
+        (2.5, "workers must be a whole number, got 2.5"),
+        ("2", "workers must be a whole number, got '2'"),
+        (None, "workers must be a whole number, got None"),
+    ],
+    ids=["zero", "negative", "fraction", "str", "none"],
+)
+def test_bad_workers_are_a_config_error(op, workers, message):
+    with pytest.raises(InvalidConfigError) as exc:
+        op(np.ones((2, 8)), workers=workers)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("op,_oracle,_even", FORWARD_ORACLES)
 def test_short_frames_rejected(op, _oracle, _even):
     with pytest.raises(InvalidInputError):

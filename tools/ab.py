@@ -3,7 +3,7 @@
 Usage (from anywhere)::
 
     python tools/ab.py --parent DIR --change DIR --workload W [W ...] \\
-        --pairs N --out BENCH_<n>.json [--seed S]
+        --pairs N --out BENCH_<n>.json [--seed S] [--pin-malloc]
 
 Each pair runs ``perfbench/run.py --trace 0 --record`` once in each
 checkout, with the checkout as the working directory, so each side measures
@@ -23,10 +23,19 @@ that follow: both sides' medians and the parent's interquartile range.  Each
 metric ends in one ``verdict`` (see :func:`verdict`), from the paired data and
 the metric's ``bound`` in ``BENCHMARK.json``.  Provenance records the
 interpreter and library versions the workers report, the CPU count,
-``os.getloadavg()`` before and after, and the git commit of each checkout
-with whether its files differ from it.  Passing the same directory twice is
-an A/A run, which measures the noise floor.  The tool only aggregates: it
-changes nothing in either checkout.
+``os.getloadavg()`` before and after, the allocator mode, and the git commit
+of each checkout with whether its files differ from it.  Passing the same
+directory twice is an A/A run, which measures the noise floor.  The tool only
+aggregates: it changes nothing in either checkout.
+
+Each run also records what its processes (``run.py`` and the workers it
+waits for) cost the kernel: minor page faults and system seconds, the
+``RUSAGE_CHILDREN`` deltas around the run, summarized as per-side medians.
+``--pin-malloc`` runs both sides with glibc's mmap and trim thresholds fixed
+(``MALLOC_PIN``, in the child environment only), so what one operation frees
+no longer moves where its neighbours allocate.  It tells an
+allocator-driven change from a code-driven one; a claim still needs the
+default run.
 """
 from __future__ import annotations
 
@@ -35,6 +44,7 @@ import datetime
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -46,6 +56,9 @@ CONFIDENCE = 0.95  # sign-test coverage the ratio interval aims for
 DRIFT_FACTOR = 3.0  # pair-to-pair over within-pair spread, in log terms, that flags drift
 SPREAD_FLOOR = 1.01  # within-pair spread taken as at least this: a 1% quartile ratio, so runs in step are no drift
 GAIN_SHARE = 0.9  # share of pairs the change must win for a gain: 9 of 10
+# glibc otherwise raises both thresholds to the largest mmapped chunk freed, and never lowers them
+MALLOC_PIN = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "134217728"}
+CHILD_USAGE = ("minflt", "sys_s")  # per-run kernel costs of the run's processes
 
 
 def run_order(pairs: int) -> list[tuple[int, str]]:
@@ -108,10 +121,12 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
     """Per-metric summary of one workload's runs.
 
     ``runs`` holds one ``{"pair", "side", "end_to_end", "failed"}`` record
-    per run; ``better`` maps each metric to ``"higher"`` or ``"lower"`` and
+    per run, with ``CHILD_USAGE`` keys where they were measured; ``better`` maps each metric to ``"higher"`` or ``"lower"`` and
     ``bounds`` to its ``BENCHMARK.json`` bound.  A metric with no bound
     is judged by the gain rule alone.  A pair missing either side (a run
-    that failed) is left out of the ratios.
+    that failed) is left out of the ratios.  ``children`` gives each side's
+    median of each ``CHILD_USAGE`` key over the runs that have it (None if
+    none do).
     """
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
@@ -146,8 +161,14 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
         "pairs": len(pairs),
         "failed_ops": {side: sum(r["failed"] for r in runs if r["side"] == side) for side in SIDES},
         "failed_runs": sum(not r["end_to_end"] for r in runs),
+        "children": {side: {key: _median([r[key] for r in runs if r["side"] == side and key in r])
+                            for key in CHILD_USAGE} for side in SIDES},
         "metrics": metrics,
     }
+
+
+def _median(values):
+    return statistics.median(values) if values else None
 
 
 def _ratio(parent: float, change: float) -> float:
@@ -183,17 +204,26 @@ def _git_state(path: Path) -> dict | None:
     return {"commit": head.stdout.strip(), "modified": bool(git("status", "--porcelain").stdout.strip())}
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float, workdir: str, tag: str) -> dict:
+def child_env(pin_malloc: bool) -> dict[str, str]:
+    """The environment each run gets: this process's, plus ``MALLOC_PIN`` when asked."""
+    return {**os.environ, **(MALLOC_PIN if pin_malloc else {})}
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float, workdir: str, tag: str, env: dict) -> dict:
+    """One run's record, with ``CHILD_USAGE`` keys: its processes' minor faults and system seconds."""
     record_path = Path(workdir) / f"{tag}.json"
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0", "--record", str(record_path),
     ]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"minflt": after.ru_minflt - before.ru_minflt, "sys_s": after.ru_stime - before.ru_stime}
     if proc.returncode != 0 or not record_path.exists():
         print(f"ab: {tag} failed (exit {proc.returncode}): {proc.stderr.strip()[-500:]}", file=sys.stderr)
-        return {"end_to_end": {}, "failed": 0, "provenance": {}}
-    return json.loads(record_path.read_text())
+        return {"end_to_end": {}, "failed": 0, "provenance": {}, **usage}
+    return {**json.loads(record_path.read_text()), **usage}
 
 
 def main(argv=None) -> int:
@@ -204,6 +234,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True, help="parent/change pairs per workload")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--seed", type=int, default=1, help="input clip seed, the same for every run")
+    parser.add_argument("--pin-malloc", action="store_true", help="run both sides with MALLOC_PIN's fixed thresholds")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -215,18 +246,20 @@ def main(argv=None) -> int:
     provenance = {
         "started_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "mode": "A/A" if checkouts["parent"] == checkouts["change"] else "A/B",
+        "malloc": MALLOC_PIN if args.pin_malloc else "default",
         "checkouts": {side: _git_state(path) for side, path in checkouts.items()},
         "nproc": os.cpu_count(),
         "loadavg_before": os.getloadavg(),
     }
-    workloads = {}
+    workloads, env = {}, child_env(args.pin_malloc)
     with tempfile.TemporaryDirectory(prefix="ab-") as workdir:
         for workload in args.workload:
             runs = []
             for pair, side in run_order(args.pairs):
                 tag = f"{workload}-{pair}-{side}"
-                record = _run(checkouts[side], workload, args.seed, spec["run_seconds"], workdir, tag)
-                runs.append({"pair": pair, "side": side, "end_to_end": record["end_to_end"], "failed": record["failed"]})
+                record = _run(checkouts[side], workload, args.seed, spec["run_seconds"], workdir, tag, env)
+                runs.append({"pair": pair, "side": side, "end_to_end": record["end_to_end"], "failed": record["failed"],
+                             **{key: record[key] for key in CHILD_USAGE}})
                 if record["provenance"]:
                     provenance.setdefault("workers", record["provenance"])
                 print(f"ab: {workload} pair {pair} {side} done", file=sys.stderr)
@@ -245,7 +278,9 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for workload, summary in workloads.items():
-        print(f"{workload}: {summary['pairs']} pairs, failed ops {summary['failed_ops']}")
+        children = ", ".join(f"{side} {c['minflt']:.0f} minor faults and {c['sys_s']:.2f} system s"
+                             for side, c in summary["children"].items())
+        print(f"{workload}: {summary['pairs']} pairs, failed ops {summary['failed_ops']}, run medians {children}")
         for name, m in summary["metrics"].items():
             low, high = m["ratio_interval"]
             drift = f"  DRIFT: pairs spread x{m['pair_spread']:.2f}, ratios x{m['ratio_spread']:.2f}" if m["drift"] else ""
