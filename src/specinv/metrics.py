@@ -120,11 +120,11 @@ def mcd(reference: Waveform, estimate: Waveform, cfg: McdConfig = McdConfig()) -
 
     Pipeline: magnitude spectrogram of centered 1024/256 hann frames (the
     ``magnitude`` kind's transform of the framed signal) -> unit-area mel
-    filterbank from 0 Hz to sample_rate / 2 -> ``log(max(., 1e-10))`` -> orthonormal DCT-II over bands -> keep
-    c1..c_{n_cepstra}.  Per-frame distance is
-    ``(10/ln 10) * sqrt(2 * sum_i (c_i - chat_i)^2)`` and the result is the
-    mean over frames.  Excluding c0 makes the measure invariant to overall
-    gain.
+    filterbank from 0 Hz to sample_rate / 2 -> ``log(max(., 1e-10))`` ->
+    orthonormal DCT-II over bands -> keep c1..c_{n_cepstra}.  Per-frame
+    distance is ``(10/ln 10) * sqrt(2 * sum_i (c_i - chat_i)^2)`` and the
+    result is the mean over frames.  Excluding c0 makes the measure
+    invariant to overall gain.
     """
     _check_pair("mcd", reference, estimate)
     if not isinstance(cfg, McdConfig):

@@ -199,7 +199,7 @@ def test_pin_malloc_adds_the_thresholds_to_the_child_environment_only(monkeypatc
     assert not set(ab.MALLOC_PIN) & set(default) and not set(ab.MALLOC_PIN) & set(ab.os.environ)
 
 
-def test_a_run_passes_its_environment_and_records_its_childrens_usage(tmp_path, monkeypatch):
+def test_a_run_gets_the_child_environment_and_records_child_usage(tmp_path, monkeypatch):
     seen = {}
 
     def fake_run(cmd, cwd, env, **kwargs):
@@ -216,7 +216,7 @@ def test_a_run_passes_its_environment_and_records_its_childrens_usage(tmp_path, 
     assert record["minflt"] == 0 and record["sys_s"] == 0.0
 
 
-def test_summarize_gives_each_sides_median_child_usage():
+def test_summarize_gives_each_side_the_median_child_usage():
     runs = [dict(_run(i, side, 100.0, 50.0), minflt=1000 * (i + 1) + (side == "change"), sys_s=0.1 * (i + 1))
             for i in range(3) for side in ab.SIDES]
     runs.append(_run(3, "parent", 100.0, 50.0))  # a run without usage keys is left out of the medians

@@ -121,8 +121,9 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
     """Per-metric summary of one workload's runs.
 
     ``runs`` holds one ``{"pair", "side", "end_to_end", "failed"}`` record
-    per run, with ``CHILD_USAGE`` keys where they were measured; ``better`` maps each metric to ``"higher"`` or ``"lower"`` and
-    ``bounds`` to its ``BENCHMARK.json`` bound.  A metric with no bound
+    per run, with ``CHILD_USAGE`` keys where they were measured; ``better``
+    maps each metric to ``"higher"`` or ``"lower"`` and ``bounds`` to its
+    ``BENCHMARK.json`` bound.  A metric with no bound
     is judged by the gain rule alone.  A pair missing either side (a run
     that failed) is left out of the ratios.  ``children`` gives each side's
     median of each ``CHILD_USAGE`` key over the runs that have it (None if
