@@ -3,21 +3,22 @@
 Reports throughput in kHz (output samples per millisecond) and the
 real-time factor.  The default protocol matches the reference experiment:
 a 10 s clip at 22050 Hz, 10 warm-up runs, 100 timed runs, synthesis only
-(the spectrogram is prepared outside the timed region).  The clock is
-injectable so the report arithmetic is unit-testable without real timing.
+(the spectrogram is prepared outside the timed region).  The timed clip
+is always the generated tone of the spec's duration and rate.  The clock
+is injectable so the report arithmetic is unit-testable without real
+timing.
 """
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, MeasurementError, _count, _finite, _whole
+from .errors import InvalidConfigError, MeasurementError, _count, _finite, _need
 from .signal import FrameConfig, Waveform
-from .vocoder import ClipMode, _spectrum, _synthesis, _waveform, analyze, synthesize
+from .vocoder import ClipMode, _check_kind_rules, _spectrum, _synthesis, _waveform, analyze, synthesize
 
 __all__ = [
     "BenchSpec",
@@ -36,7 +37,12 @@ _TSV_FORMATS = {"khz": ".1f", "rtf": ".1f", "mean_s": ".6g", "std_s": ".6g"}
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """What to measure: a pipeline plus the timing protocol around it."""
+    """What to measure: a pipeline plus the timing protocol around it.
+
+    Each field is checked once, at construction, by the package's shared
+    rules: kind, config and clip as analysis checks them, the counts and
+    the sample rate as whole numbers (stored as ints).
+    """
 
     kind: str
     config: FrameConfig
@@ -49,16 +55,12 @@ class BenchSpec:
     workers: int = 1
 
     def __post_init__(self):
+        _check_kind_rules(self.kind, self.config, self.clip)
+        if not (_finite(self.clip_duration) and self.clip_duration > 0):
+            raise InvalidConfigError(f"clip_duration must be a positive finite number, got {self.clip_duration!r}")
+        object.__setattr__(self, "sample_rate", _count("sample_rate", self.sample_rate, 1))
         object.__setattr__(self, "runs", _count("runs", self.runs, 1))
         object.__setattr__(self, "warmup_runs", _count("warmup_runs", self.warmup_runs, 0))
-        if isinstance(self.clip_duration, numbers.Real) and self.clip_duration <= 0:
-            raise InvalidConfigError("clip_duration must be positive")
-        if not _finite(self.clip_duration):
-            raise InvalidConfigError(f"clip_duration must be finite, got {self.clip_duration}")
-        if isinstance(self.sample_rate, numbers.Real) and self.sample_rate <= 0:
-            raise InvalidConfigError("sample_rate must be positive")
-        if not _whole(self.sample_rate):
-            raise InvalidConfigError(f"sample_rate must be a positive integer, got {self.sample_rate}")
         if self.stage not in STAGES:
             raise InvalidConfigError(
                 f"unknown stage {self.stage!r}; expected one of {STAGES}"
@@ -107,7 +109,7 @@ class BenchReport:
 
 
 def make_tone(duration: float, sample_rate: int) -> Waveform:
-    """Deterministic 440 Hz test tone used when no input clip is supplied."""
+    """Deterministic 440 Hz test tone, half full scale: the clip ``run_bench`` times."""
     try:
         t = np.arange(int(round(duration * sample_rate))) / sample_rate
     except (ValueError, OverflowError) as exc:  # a NaN, infinite or unindexable sample count
@@ -115,22 +117,17 @@ def make_tone(duration: float, sample_rate: int) -> Waveform:
     return Waveform(0.5 * np.sin(2.0 * np.pi * 440.0 * t), sample_rate)
 
 
-def run_bench(spec: BenchSpec, x: Waveform | None = None, clock=time.perf_counter) -> BenchReport:
+def run_bench(spec: BenchSpec, clock=time.perf_counter) -> BenchReport:
     """Execute the timing protocol for one pipeline configuration.
 
+    The clip is ``make_tone(spec.clip_duration, spec.sample_rate)``.
     Performs ``spec.warmup_runs`` untimed executions (no clock reads), then
     ``spec.runs`` timed executions of exactly the chosen stage.  For
     ``synthesize_only`` the spectrogram is computed before any timing
     starts.  The timed stage runs single-threaded unless ``spec.workers``
     says otherwise, and the setting is echoed in the report.
     """
-    if x is None:
-        x = make_tone(spec.clip_duration, spec.sample_rate)
-    elif x.sample_rate != spec.sample_rate:
-        raise InvalidInputError(
-            f"input clip is at {x.sample_rate} Hz but the benchmark is declared "
-            f"for {spec.sample_rate} Hz"
-        )
+    x = make_tone(_need("run_bench", spec, BenchSpec).clip_duration, spec.sample_rate)
 
     if spec.stage == "synthesize_only":
         gram = analyze(x, spec.config, spec.kind, spec.clip, workers=spec.workers)

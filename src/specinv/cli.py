@@ -221,7 +221,7 @@ def _cmd_analyze(args) -> None:
 def _cmd_synthesize(args) -> None:
     with open(args.input, "rb") as fh:
         y = _synthesis(io_mod._read_spec(fh), args.threads, _CHUNK_SAMPLES)
-        io_mod.write_wav(args.output, y, args.encoding)
+        io_mod._write_wav(args.output, y, args.encoding)
 
 
 def _cmd_roundtrip(args) -> None:
@@ -230,7 +230,7 @@ def _cmd_roundtrip(args) -> None:
         with open(args.input, "rb") as fh:
             x = io_mod._read_mono(fh)
             y = _synthesis(_spectrum(x, config, kind, clip, args.threads), args.threads, _CHUNK_SAMPLES)
-            io_mod.write_wav(args.output, y, args.encoding)
+            io_mod._write_wav(args.output, y, args.encoding)
         return
     x = io_mod.read_wav(args.input)
     y = _waveform(_synthesis(_spectrum(x._source(), config, kind, clip, args.threads), args.threads))

@@ -6,8 +6,9 @@ know the standard hierarchy still catch them.  ``_finite`` and ``_whole``
 are the one definition of a finite and of a whole number that the
 parameter checks share, so NaN, inf or a non-number fails the check with
 its own error instead of escaping from ``int()`` or ``np.isfinite``;
-``_count`` is the check of a count such as ``workers`` or ``runs``, and
-``_reals`` the one way array input enters the library.
+``_count`` is the check of a count such as ``workers`` or ``runs``,
+``_need`` the check that an operation got the container or config type it
+takes, and ``_reals`` the one way array input enters the library.
 """
 import math
 import numbers
@@ -74,6 +75,13 @@ def _count(name: str, value, low: int) -> int:
     if not _whole(value):
         raise InvalidConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _need(op: str, value, cls: type):
+    """``value`` once it is a ``cls``, else an InvalidInputError saying what ``op`` needs and what it got."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{op} needs a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _reals(name: str, values, ndim: int = 0) -> np.ndarray:

@@ -12,8 +12,9 @@ into another: integer PCM in one division by full scale, float32 once
 every channel of the chunk is checked finite.  The writer checks and
 writes the header, which the rate and length alone fix, then encodes each
 chunk in reused buffers and writes it.  read_wav and wav_info are the
-reader's collect and drain cases; write_wav is the writer, fed a
-Waveform's samples or, from the CLI, the samples synthesis finishes.
+reader's collect and drain cases.  _write_wav is the writer and the CLI's
+sink, fed the samples synthesis finishes; write_wav is its whole-array
+case, fed a Waveform's samples.
 
 The MVS1 container is a little-endian, bit-exact interchange format:
 
@@ -91,7 +92,7 @@ import warnings
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError, UnsupportedCodecError
+from .errors import FormatError, InvalidInputError, UnsupportedCodecError, _need
 from .signal import _CHUNK_SAMPLES, WINDOW_NAMES, FrameConfig, Waveform, WindowKind, _geometry, _Samples
 from .vocoder import (
     _BLOCK_FRAMES, CLIP_MODES, SPECTROGRAM_KINDS, ClipMode, Spectrogram, _check_metadata, _check_rows, _collect,
@@ -326,21 +327,22 @@ def write_wav(path, x: Waveform, encoding: str = "float32") -> None:
     """Write a mono waveform as PCM16 or float32 WAV.
 
     pcm16 clamps to [-1, 1] and scales by 32767 with round-half-away-from-
-    zero; float32 stores samples verbatim.
-
-    This is the one WAV writer: inside the package ``x`` may also be a
-    ``signal._Samples`` stream, as the CLI's synthesis is.  Every header
-    check runs, and the header, which the rate and length fix, is built
-    before any sample is encoded.  Samples are encoded ``_CHUNK_SAMPLES``
-    at a time in reused buffers and written through the atomic temp file,
-    which a failure partway through removes.  They are finite: those of a
-    :class:`Waveform`, or synthesis of float32-range MVS1 values or of WAV
-    samples, neither of which can overflow float64.
+    zero; float32 stores samples verbatim.  This is the one WAV writer fed
+    ``x.samples`` as one chunk.
     """
-    if isinstance(x, Waveform):
-        x = x._source()
-    elif not isinstance(x, _Samples):
-        raise InvalidInputError(f"write_wav needs a Waveform, got {type(x).__name__}")
+    _write_wav(path, _need("write_wav", x, Waveform)._source(), encoding)
+
+
+def _write_wav(path, x: _Samples, encoding: str) -> None:
+    """The one WAV writer: the header of the sample stream ``x``, then its samples encoded as ``encoding``.
+
+    Every header check runs, and the header, which the rate and length
+    fix, is built before any sample is encoded.  Samples are encoded
+    ``_CHUNK_SAMPLES`` at a time in reused buffers and written through the
+    atomic temp file, which a failure partway through removes.  They are
+    finite: those of a :class:`Waveform`, or synthesis of float32-range
+    MVS1 values or of WAV samples, neither of which can overflow float64.
+    """
     if encoding not in _WAV_ENCODINGS:
         raise InvalidInputError(f"unknown encoding {encoding!r}; use {' or '.join(map(repr, _WAV_ENCODINGS))}")
     fmt_code, block_align = _WAV_ENCODINGS[encoding]
@@ -432,7 +434,7 @@ def write_spec(path, spec: Spectrogram) -> None:
     or a value too wide for its header field.  This is the one MVS1
     writer fed ``spec.data`` a block of rows at a time.
     """
-    _write_spec(path, spec._stream())
+    _write_spec(path, _need("write_spec", spec, Spectrogram)._stream())
 
 
 def _read_spec(fh) -> _Stream:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, _count
+from .errors import InvalidConfigError, InvalidInputError, _count, _need
 from .signal import FrameConfig, Waveform, WindowKind
 from .transforms import dct2
 from .vocoder import analyze
@@ -140,8 +140,7 @@ def mcd(reference: Waveform, estimate: Waveform, cfg: McdConfig = McdConfig()) -
 
 def _check_pair(op: str, reference: Waveform, estimate: Waveform) -> None:
     for x in (reference, estimate):
-        if not isinstance(x, Waveform):
-            raise InvalidInputError(f"{op} needs a Waveform, got {type(x).__name__}")
+        _need(op, x, Waveform)
     if len(reference) != len(estimate):
         raise InvalidInputError(
             f"length mismatch: reference has {len(reference)} samples, "

@@ -148,7 +148,9 @@ class Waveform:
     Samples are stored as float64 in nominal range [-1, 1] and must be
     finite; the constructor validates whatever array-like it gets and
     converts real-valued input to float64, so a float64 array is kept as
-    it is, not copied.  Complex or non-numeric input is refused.
+    it is, not copied.  Complex or non-numeric input is refused.  The
+    samples are locked read-only once checked, as a Spectrogram's data
+    is, so a float64 array passed in becomes read-only too.
     """
 
     samples: np.ndarray
@@ -160,6 +162,7 @@ class Waveform:
             raise InvalidInputError("waveform contains NaN or Inf samples")
         if not _whole(self.sample_rate) or self.sample_rate <= 0:
             raise InvalidInputError(f"sample_rate must be a positive integer, got {self.sample_rate}")
+        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 

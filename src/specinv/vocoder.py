@@ -18,7 +18,7 @@ import scipy.fft
 
 from . import transforms
 from .errors import (
-    InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _count, _finite, _reals, _whole,
+    InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _count, _finite, _need, _reals, _whole,
 )
 from .signal import (
     _CHUNK_SAMPLES, FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _NameValue, _overlap_add,
@@ -80,8 +80,17 @@ def _kind(kind: str) -> Kind:
 
 
 def _check_kind_rules(kind: str, config: FrameConfig, clip: ClipMode) -> Kind:
-    """``kind``'s table row, once ``config`` and ``clip`` obey its rules."""
+    """``kind``'s table row, once ``config`` is a FrameConfig and ``clip`` a ClipMode that obey its rules.
+
+    Analysis, :class:`Spectrogram`, the MVS1 reader and ``bench.BenchSpec``
+    all check a config and a clip here; only :func:`apply_clip`, which has
+    no kind, checks its clip itself, in the same words.
+    """
     row = _kind(kind)
+    if not isinstance(config, FrameConfig):
+        raise InvalidConfigError(f"config must be a FrameConfig, got {type(config).__name__}")
+    if not isinstance(clip, ClipMode):
+        raise InvalidConfigError(f"clip must be a ClipMode, got {clip!r}")
     if row.even_window and config.win_length % 2:
         raise InvalidConfigError(f"{kind} requires an even win_length, got {config.win_length}")
     if row.unsigned and clip.mode != "none":
@@ -189,8 +198,6 @@ def _tau_floor(clip: ClipMode) -> float:
 
 def _check_metadata(kind, config, clip, sample_rate, original_length, n_frames, n_bins) -> None:
     """The :class:`Spectrogram` rules on everything but the data values: those of ``n_frames x n_bins`` data."""
-    if not isinstance(clip, ClipMode):
-        raise InvalidConfigError(f"clip must be a ClipMode, got {clip!r}")
     _check_kind_rules(kind, config, clip)
     bins = expected_bins(kind, config.win_length)
     if n_bins != bins:
@@ -228,10 +235,12 @@ def apply_clip(data, mode: ClipMode) -> np.ndarray:
     """Clip spectrogram coefficients elementwise.
 
     ``none`` returns the input unchanged; ``zero`` is ``max(v, 0)``;
-    ``threshold`` keeps ``v`` only where ``v > tau``.
+    ``threshold`` keeps ``v`` only where ``v > tau``.  ``mode`` is a
+    :class:`ClipMode`; ``ClipMode.parse`` reads one from a spec string
+    such as ``"threshold:0.05"``.
     """
     if not isinstance(mode, ClipMode):
-        mode = ClipMode.parse(mode)
+        raise InvalidConfigError(f"clip must be a ClipMode, got {mode!r}")
     a = _reals("clip input", data)
     return _clip(a if mode.mode == "none" else a.copy(), mode)
 
@@ -335,14 +344,13 @@ def analyze(
     kind : str
         One of ``real_fft``, ``dct``, ``packed_rfft``, ``magnitude``.
     clip : ClipMode
-        Applied after the transform.  Magnitude spectrograms are already
-        nonnegative, so any clip other than ``none`` is rejected.
+        Applied after the transform (``ClipMode.parse`` reads one from a
+        spec string).  Magnitude spectrograms are already nonnegative, so
+        any clip other than ``none`` is rejected.
     workers : int
         Worker threads for the batch transform (1 = single-threaded).
     """
-    if not isinstance(clip, ClipMode):
-        clip = ClipMode.parse(clip)
-    return _collect(_spectrum(x._source(), config, kind, clip, workers))
+    return _collect(_spectrum(_need("analyze", x, Waveform)._source(), config, kind, clip, workers))
 
 
 def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
@@ -355,7 +363,7 @@ def synthesize(spec: Spectrogram, workers: int = 1) -> Waveform:
     spectrograms cannot be inverted here -- that would require the phase
     estimation this library exists to avoid.
     """
-    return _waveform(_synthesis(spec._stream(), workers))
+    return _waveform(_synthesis(_need("synthesize", spec, Spectrogram)._stream(), workers))
 
 
 def _synthesis(stream: _Stream, workers, chunk: int | None = None) -> _Samples:

@@ -167,6 +167,21 @@ def test_a_committed_gain_reads_gain():
     assert _resummarized("BENCH_12.json")["coarse"]["cli_khz.synthesize"]["verdict"] == "gain"
 
 
+def test_a_gain_needs_ten_pairs():
+    # BENCH_17_pinned_aa.json ran one checkout as both sides for 3 pairs: its coarse peak_rss_mb
+    # won 3/3 at x0.999 by more than the parent's 3-run range, and was committed as a gain.
+    committed = json.loads((ROOT / "BENCH_17_pinned_aa.json").read_text())["workloads"]["coarse"]["metrics"]
+    rss = _resummarized("BENCH_17_pinned_aa.json")["coarse"]["peak_rss_mb"]
+    assert committed["peak_rss_mb"]["verdict"] == "gain" and rss["change_better_pairs"] == 3
+    assert rss["verdict"] == "no change"
+    # the 10-pair records keep every committed verdict
+    for path in ("BENCH_17_pinned_aa10.json", "BENCH_17.json"):
+        record = json.loads((ROOT / path).read_text())["workloads"]
+        for workload, metrics in _resummarized(path).items():
+            assert {name: m["verdict"] for name, m in metrics.items()} == {
+                name: m["verdict"] for name, m in record[workload]["metrics"].items()}, (path, workload)
+
+
 def _verdict(parent, change, better, bound=0.25):
     runs = [{"pair": i, "side": side, "failed": 0, "end_to_end": {"m": v}}
             for i, pair in enumerate(zip(parent, change)) for side, v in zip(ab.SIDES, pair)]
@@ -186,6 +201,9 @@ def test_verdict_rules():
     assert _verdict(wide, [v * 1.2 for v in wide], "higher") == "unresolved"
     # ...unless every change run beats every parent run
     assert _verdict(wide, [v + 100.0 for v in wide], "higher") == "gain"
+    # fewer than GAIN_PAIRS pairs cannot make a gain, however clear
+    assert ab.GAIN_PAIRS == 10
+    assert _verdict(parent[:9], [v * 1.10 for v in parent[:9]], "higher") == "no change"
 
 
 

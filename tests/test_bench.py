@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -11,9 +12,9 @@ from specinv.bench import (
     make_tone,
     to_jsonl,
 )
-from specinv.errors import InvalidConfigError, InvalidInputError, MeasurementError
+from specinv.errors import InvalidConfigError, MeasurementError, UnsupportedKindError
 from specinv.signal import FrameConfig, WindowKind
-from specinv.vocoder import ClipMode
+from specinv.vocoder import SPECTROGRAM_KINDS, ClipMode
 
 
 class MockClock:
@@ -59,21 +60,20 @@ def test_mock_clock_arithmetic_and_warmup_exclusion():
 def test_reference_throughput_numbers_via_mock_clock():
     # A 10 s 22050 Hz clip synthesized in a 0.011 s mean lands at the
     # published 20045.5 kHz / 909.1x operating point; 0.049 s at 4500 kHz.
-    x = make_tone(10.0, 22050)
     spec = _spec(clip_duration=10.0, runs=1, warmup_runs=0)
-    report = run_bench(spec, x, clock=MockClock([0.0, 0.011]))
+    report = run_bench(spec, clock=MockClock([0.0, 0.011]))
+    assert report.samples_generated == len(make_tone(10.0, 22050)) == 220500
     assert report.khz == pytest.approx(20045.5, abs=0.05)
     assert report.rtf == pytest.approx(909.1, abs=0.05)
 
-    report = run_bench(spec, x, clock=MockClock([0.0, 0.049]))
+    report = run_bench(spec, clock=MockClock([0.0, 0.049]))
     assert report.khz == pytest.approx(4500.0, abs=0.05)
     assert report.rtf == pytest.approx(204.1, abs=0.05)
 
 
 def test_rtf_is_one_when_elapsed_equals_duration():
-    x = make_tone(10.0, 22050)
     spec = _spec(clip_duration=10.0, runs=1, warmup_runs=0)
-    report = run_bench(spec, x, clock=MockClock([5.0, 15.0]))
+    report = run_bench(spec, clock=MockClock([5.0, 15.0]))
     assert report.rtf == pytest.approx(1.0, abs=1e-12)
 
 
@@ -113,17 +113,17 @@ def test_spec_validation():
 @pytest.mark.parametrize(
     "field,value,message",
     [
-        ("clip_duration", float("nan"), "clip_duration must be finite, got nan"),
-        ("clip_duration", float("inf"), "clip_duration must be finite, got inf"),
-        ("clip_duration", float("-inf"), "clip_duration must be positive"),
-        ("sample_rate", float("nan"), "sample_rate must be a positive integer, got nan"),
-        ("sample_rate", float("inf"), "sample_rate must be a positive integer, got inf"),
-        ("sample_rate", 22050.5, "sample_rate must be a positive integer, got 22050.5"),
-        ("sample_rate", 0, "sample_rate must be positive"),
-        ("clip_duration", "x", "clip_duration must be finite, got x"),
-        ("clip_duration", None, "clip_duration must be finite, got None"),
-        ("sample_rate", None, "sample_rate must be a positive integer, got None"),
-        ("sample_rate", "22050", "sample_rate must be a positive integer, got 22050"),
+        ("clip_duration", float("nan"), "clip_duration must be a positive finite number, got nan"),
+        ("clip_duration", float("inf"), "clip_duration must be a positive finite number, got inf"),
+        ("clip_duration", float("-inf"), "clip_duration must be a positive finite number, got -inf"),
+        ("sample_rate", float("nan"), "sample_rate must be a whole number, got nan"),
+        ("sample_rate", float("inf"), "sample_rate must be a whole number, got inf"),
+        ("sample_rate", 22050.5, "sample_rate must be a whole number, got 22050.5"),
+        ("sample_rate", 0, "sample_rate must be >= 1"),
+        ("clip_duration", "x", "clip_duration must be a positive finite number, got 'x'"),
+        ("clip_duration", None, "clip_duration must be a positive finite number, got None"),
+        ("sample_rate", None, "sample_rate must be a whole number, got None"),
+        ("sample_rate", "22050", "sample_rate must be a whole number, got '22050'"),
     ],
 )
 def test_spec_duration_is_finite_and_rate_whole(field, value, message):
@@ -171,10 +171,30 @@ def test_make_tone_without_a_sample_count_is_config_error(duration, rate, reason
     assert str(exc.value).startswith(f"cannot make a {duration} s tone at {rate} Hz: {reason}")
 
 
-def test_input_rate_must_match_spec():
-    x = make_tone(0.05, 16000)
-    with pytest.raises(InvalidInputError):
-        run_bench(_spec(), x)
+def test_run_bench_times_the_tone_of_the_spec_duration_and_rate():
+    report = run_bench(_spec(sample_rate=16000), clock=MockClock([0.0, 0.5, 1.0, 1.5]))
+    assert report.samples_generated == len(make_tone(0.05, 16000)) == 800
+    assert list(inspect.signature(run_bench).parameters) == ["spec", "clock"]
+
+
+@pytest.mark.parametrize(
+    "field,value,error,message",
+    [
+        ("clip", "zero", InvalidConfigError, "clip must be a ClipMode, got 'zero'"),
+        ("kind", "nope", UnsupportedKindError, f"unknown spectrogram kind 'nope'; expected one of {SPECTROGRAM_KINDS}"),
+        ("config", None, InvalidConfigError, "config must be a FrameConfig, got NoneType"),
+        ("config", FrameConfig(63, 16), InvalidConfigError, "packed_rfft requires an even win_length, got 63"),
+    ],
+)
+def test_spec_checks_kind_config_and_clip_at_construction(field, value, error, message):
+    with pytest.raises(error) as exc:
+        _spec(**{field: value})
+    assert str(exc.value) == message
+
+
+def test_spec_stores_a_whole_float_sample_rate_as_an_int():
+    spec = _spec(sample_rate=16000.0)
+    assert type(spec.sample_rate) is int and spec.sample_rate == 16000
 
 
 def test_report_records_protocol_and_parallelism():

@@ -119,6 +119,16 @@ def test_waveform_validation():
     assert len(x) == 2 and x.duration == pytest.approx(2 / 8000)
 
 
+def test_waveform_locks_the_array_it_was_built_from():
+    # A float64 array is kept, not copied, so a later write into it would bypass the finite check.
+    source = np.zeros(8)
+    x = Waveform(source, 8000)
+    assert x.samples is source and not source.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        source[3] = np.nan
+    assert np.isfinite(x.samples).all()
+
+
 @pytest.mark.parametrize(
     "build,error,message",
     [

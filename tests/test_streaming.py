@@ -355,11 +355,10 @@ def test_roundtrip_builds_no_spectrogram(monkeypatch, tmp_path):
     want = synthesize(analyze(x, FrameConfig(64, 16), "dct", ClipMode.zero()))
     monkeypatch.setattr(Spectrogram, "__post_init__", refuse)
     report = bench.run_bench(
-        bench.BenchSpec("dct", FrameConfig(64, 16), ClipMode.zero(), sample_rate=16000, runs=1, warmup_runs=0,
-                        stage="roundtrip"),
-        x,
+        bench.BenchSpec("dct", FrameConfig(64, 16), ClipMode.zero(), clip_duration=len(x) / 16000,
+                        sample_rate=16000, runs=1, warmup_runs=0, stage="roundtrip"),
     )
-    assert report.samples_generated == len(x)
+    assert report.samples_generated == len(x) == len(bench.make_tone(len(x) / 16000, 16000))
     code = run_cli("roundtrip", tmp_path / "in.wav", tmp_path / "out.wav", "--algo", "dct", "--win", 64,
                    "--hop", 16, "--clip", "zero")
     assert code == (0, "", "")

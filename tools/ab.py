@@ -56,6 +56,7 @@ CONFIDENCE = 0.95  # sign-test coverage the ratio interval aims for
 DRIFT_FACTOR = 3.0  # pair-to-pair over within-pair spread, in log terms, that flags drift
 SPREAD_FLOOR = 1.01  # within-pair spread taken as at least this: a 1% quartile ratio, so runs in step are no drift
 GAIN_SHARE = 0.9  # share of pairs the change must win for a gain: 9 of 10
+GAIN_PAIRS = 10  # fewest pairs a gain can rest on: with 3, a near-constant metric wins 3 of 3 by chance
 # glibc otherwise raises both thresholds to the largest mmapped chunk freed, and never lowers them
 MALLOC_PIN = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "134217728"}
 CHILD_USAGE = ("minflt", "sys_s")  # per-run kernel costs of the run's processes
@@ -97,11 +98,14 @@ def verdict(metric: dict, bound: float) -> str:
     - ``unresolved``: the parent's interquartile range is wider than
       ``bound`` times its median, so the runs spread too widely to tell,
       unless every change run beats every parent run.
-    - ``gain``: the change is better in at least ``GAIN_SHARE`` of the pairs
-      and its median beats the parent's by more than the parent's
-      interquartile range.  A win count alone is not enough: between
-      identical checkouts one label can win 10 of 10 pairs by a margin
-      inside the parent's own spread.
+    - ``gain``: there are at least ``GAIN_PAIRS`` pairs, the change is
+      better in at least ``GAIN_SHARE`` of them, and its median beats the
+      parent's by more than the parent's interquartile range.  A win count
+      alone is not enough: between identical checkouts one label can win 10
+      of 10 pairs by a margin inside the parent's own spread.  Nor are a few
+      pairs: the interquartile range of 3 runs is their full range, which
+      for a near-constant metric such as ``peak_rss_mb`` is a few hundred
+      KB, so an A/A run of 3 pairs can win all 3 by chance.
     - ``no change``: otherwise.
     """
     sign = 1.0 if metric["better"] == "higher" else -1.0
@@ -111,7 +115,8 @@ def verdict(metric: dict, bound: float) -> str:
     beats_every_run = min(sign * c for c in metric["change"]) > max(sign * a for a in metric["parent"])
     if iqr > bound * abs(metric["parent_median"]) and not beats_every_run:
         return "unresolved"
-    won = metric["change_better_pairs"] >= GAIN_SHARE * len(metric["parent"])
+    pairs = len(metric["parent"])
+    won = pairs >= GAIN_PAIRS and metric["change_better_pairs"] >= GAIN_SHARE * pairs
     if won and sign * (metric["change_median"] - metric["parent_median"]) > iqr:
         return "gain"
     return "no change"

@@ -215,6 +215,11 @@ def fixtures(run):
         ("bench", "--algo", "prft", "--win", "255", "--runs", "1", "--warmup", "0", "--duration", "0.05"),
         ("bench", "--algo", "dct", "--runs", "0"),
         ("bench", "--algo", "dct", "--stage", "nope"),
+        ("bench", "--algo", "dct", "--duration", "0"),
+        ("bench", "--algo", "dct", "--duration", "-1"),
+        ("bench", "--algo", "dct", "--duration", "nan"),
+        ("bench", "--algo", "dct", "--duration", "inf"),
+        ("bench", "--algo", "dct", "--rate", "0"),
         ("info", "in/nope.mvs"),
         ("info",),
         (),
