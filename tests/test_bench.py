@@ -185,6 +185,7 @@ def test_run_bench_times_the_tone_of_the_spec_duration_and_rate():
         ("config", None, InvalidConfigError, "config must be a FrameConfig, got NoneType"),
         ("config", FrameConfig(63, 16), InvalidConfigError, "packed_rfft requires an even win_length, got 63"),
     ],
+    ids=["str-clip", "unknown-kind", "none-config", "odd-packed-window"],
 )
 def test_spec_checks_kind_config_and_clip_at_construction(field, value, error, message):
     with pytest.raises(error) as exc:
