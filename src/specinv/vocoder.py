@@ -21,8 +21,8 @@ from .errors import (
     InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _count, _finite, _need, _reals, _whole,
 )
 from .signal import (
-    _CHUNK_SAMPLES, FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _NameValue, _overlap_add,
-    _Samples,
+    _CHUNK_SAMPLES, FrameConfig, Waveform, _check_frame_count, _config, _frame_blocks, _geometry, _NameValue,
+    _overlap_add, _Samples,
 )
 
 __all__ = [
@@ -87,8 +87,7 @@ def _check_kind_rules(kind: str, config: FrameConfig, clip: ClipMode) -> Kind:
     no kind, checks its clip itself, in the same words.
     """
     row = _kind(kind)
-    if not isinstance(config, FrameConfig):
-        raise InvalidConfigError(f"config must be a FrameConfig, got {type(config).__name__}")
+    _config("config", config, FrameConfig)
     if not isinstance(clip, ClipMode):
         raise InvalidConfigError(f"clip must be a ClipMode, got {clip!r}")
     if row.even_window and config.win_length % 2:
@@ -140,6 +139,7 @@ class ClipMode(_NameValue):
 
 def expected_bins(kind: str, win_length: int) -> int:
     """Bin count per frame for a spectrogram kind at a given window length."""
+    win_length = _count("win_length", win_length, 2)
     return win_length // 2 + 1 if _kind(kind).half_spectrum else win_length
 
 
