@@ -99,8 +99,12 @@ def test_framing_from_chunks_is_framing_the_whole_signal(cfg, length, block, siz
     samples = np.random.default_rng(7).normal(size=length)
     samples[::11] = -0.0
     x = Waveform(samples, 16000)
-    source = {"memory": lambda: (x.samples,), None: lambda: iter((x.samples,))}.get(
-        size, lambda: iter(pieces(x.samples, size)))
+
+    def source():
+        if size == "memory":
+            return (x.samples,)  # a Waveform's one-array tuple: framed where it lies
+        return iter((x.samples,) if size is None else pieces(x.samples, size))
+
     want = oracle_frame_signal(x, cfg)
     got = np.concatenate([f.copy() for _, f in _frame_blocks(source(), len(x), cfg, block)])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
