@@ -7,8 +7,10 @@ are the one definition of a finite and of a whole number that the
 parameter checks share, so NaN, inf or a non-number fails the check with
 its own error instead of escaping from ``int()`` or ``np.isfinite``;
 ``_count`` is the check of a count such as ``workers`` or ``runs``,
-``_need`` the check that an operation got the container or config type it
-takes, and ``_reals`` the one way array input enters the library.
+``_need`` the check that an operation got the container type it takes (a
+Waveform, a Spectrogram, ...), ``_config`` the check that a parameter object
+(a frame config, a window kind) has its type, and ``_reals`` the one way
+array input enters the library.
 """
 import math
 import numbers
@@ -78,9 +80,16 @@ def _count(name: str, value, low: int) -> int:
 
 
 def _need(op: str, value, cls: type):
-    """``value`` once it is a ``cls``, else an InvalidInputError saying what ``op`` needs and what it got."""
+    """``value`` once it is a container ``cls``, else an InvalidInputError saying what ``op`` needs and what it got."""
     if not isinstance(value, cls):
         raise InvalidInputError(f"{op} needs a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _config(name: str, value, cls: type):
+    """``value`` once it is a parameter object ``cls``, else an InvalidConfigError saying what ``name`` must be."""
+    if not isinstance(value, cls):
+        raise InvalidConfigError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
     return value
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidConfigError, InvalidInputError, _finite, _need, _reals, _whole
+from .errors import InvalidConfigError, InvalidInputError, _config, _finite, _need, _reals, _whole
 
 __all__ = [
     "OLA_EPS",
@@ -176,7 +175,7 @@ class Waveform:
         return len(self) / self.sample_rate
 
     def _source(self) -> "_Samples":
-        """This waveform as a sample stream whose one chunk is ``samples``: a tuple, which framing frames in place."""
+        """This waveform as a sample stream whose one chunk is ``samples``."""
         return _Samples(self.sample_rate, len(self), (self.samples,))
 
 
@@ -220,18 +219,6 @@ class FrameMatrix:
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-
-def _config(name: str, value, cls: type):
-    """``value`` once it is a ``cls``, else an InvalidConfigError ``"<name> must be a <Cls>, got <type>"``.
-
-    The one check that a parameter object such as a frame config or a
-    window kind has its type: ``FrameMatrix``, :func:`frame_signal`,
-    :func:`make_window` and ``vocoder._check_kind_rules`` share it.
-    """
-    if not isinstance(value, cls):
-        raise InvalidConfigError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
-    return value
 
 
 def make_window(kind: WindowKind, length: int) -> np.ndarray:
@@ -291,60 +278,40 @@ def _frame_blocks(chunks, length: int, config: FrameConfig, block: int, out: np.
     """Yield ``(i, frames)``: frames ``i .. i + len(frames) - 1`` of a signal, windowed, ``block`` at a time.
 
     The one framing engine, on the rule :func:`frame_signal` documents.  The
-    signal is the ``length`` samples ``chunks`` yields in order.  Each
-    block's frames land in ``out[i : i + block]`` when ``out`` (one row per
-    frame) is given, else in one ``(block, win)`` buffer that every block
-    reuses, and are windowed there in place.  A window of ones (boxcar,
-    kaiser:0) is not multiplied: that changes no bit, -0.0 included.
-
-    ``chunks`` comes in two forms.  A tuple of one array holding all
-    ``length`` samples (a :class:`Waveform`'s) is framed where it lies: the
-    frames that lie inside the signal are copied from a strided view of its
-    own samples, and only those that reach the centering pad or run past
-    the end are built by hand, as zeros plus the samples they cover.  Any
-    other source (the WAV reader's chunks) is framed from a rolling window
-    of the padded signal one block of frames wide: each block keeps the
-    ``win - hop`` samples it shares with the one before, reads the rest from
-    ``chunks``, and copies its frames out of a strided view of that window.
+    signal is the ``length`` samples ``chunks`` yields in order: an
+    in-memory :class:`Waveform`'s one array, or the WAV reader's chunks.  It
+    is framed from a rolling window of the padded signal one block of frames
+    wide: each block keeps the ``win - hop`` samples it shares with the one
+    before and reads the rest from ``chunks``.  The block's frames are copied
+    out of a strided view of that window into ``out[i : i + block]`` when
+    ``out`` (one row per frame) is given, else into one ``(block, win)``
+    buffer that every block reuses, and windowed there in place.  A window
+    of ones (boxcar, kaiser:0) is not multiplied: that changes no bit, -0.0
+    included.
     """
     win, hop = config.win_length, config.hop_length
     n, pad, span = _geometry(config, length)
     window = make_window(config.window, win)
     unit = (window == 1.0).all()  # boxcar, kaiser:0
-    buf = np.empty((min(block, n), win)) if out is None else None
-    whole = chunks[0] if isinstance(chunks, tuple) and len(chunks) == 1 and len(chunks[0]) == length else None
-    if whole is None:
-        padded = np.zeros((min(block, n) - 1) * hop + win)
-        view = sliding_window_view(padded, win)[::hop]
-        chunks, piece = iter(chunks), padded[:0]
-        filled, left = pad, min(span - pad, length)  # padded[:filled] is read; left samples are still to read
-    else:  # frames lo .. hi - 1 lie inside the signal: view[f - lo] is frame f
-        lo = -(-pad // hop)
-        view = sliding_window_view(whole, win)[lo * hop - pad :: hop] if length >= win else np.empty((0, win))
-        hi = lo + len(view)
+    padded = np.zeros((min(block, n) - 1) * hop + win)
+    view = np.lib.stride_tricks.sliding_window_view(padded, win)[::hop]
+    buf = np.empty(view.shape) if out is None else None
+    chunks, piece = iter(chunks), padded[:0]
+    filled, left = pad, min(span - pad, length)  # padded[:filled] is read; left samples are still to read
     for i in range(0, n, block):
+        if i:  # the last block was whole: keep what it shares with this one
+            filled = win - hop
+            padded[:filled] = padded[block * hop : block * hop + filled]
+        need = (min(block, n - i) - 1) * hop + win
+        while filled < need and left:
+            if not len(piece):
+                piece = next(chunks)
+            take = min(len(piece), need - filled, left)
+            padded[filled : filled + take] = piece[:take]
+            piece, filled, left = piece[take:], filled + take, left - take
+        padded[filled:need] = 0.0  # past the signal: the trailing pad
         frames = buf[: n - i] if out is None else out[i : i + block]
-        if whole is None:
-            if i:  # the last block was whole: keep what it shares with this one
-                filled = win - hop
-                padded[:filled] = padded[block * hop : block * hop + filled]
-            need = (len(frames) - 1) * hop + win
-            while filled < need and left:
-                if not len(piece):
-                    piece = next(chunks)
-                take = min(len(piece), need - filled, left)
-                padded[filled : filled + take] = piece[:take]
-                piece, filled, left = piece[take:], filled + take, left - take
-            padded[filled:need] = 0.0  # past the signal: the trailing pad
-            np.copyto(frames, view[: len(frames)])
-        else:
-            a, b = min(max(lo - i, 0), len(frames)), min(max(hi - i, 0), len(frames))
-            np.copyto(frames[a:b], view[i + a - lo : i + b - lo])
-            for f in (*range(a), *range(b, len(frames))):  # the edge frames: zeros plus the samples they cover
-                s = (i + f) * hop - pad
-                cover = whole[max(s, 0) : s + win]
-                frames[f] = 0.0
-                frames[f, max(-s, 0) : max(-s, 0) + len(cover)] = cover
+        np.copyto(frames, view[: len(frames)])
         if not unit:
             frames *= window
         yield i, frames

@@ -18,11 +18,12 @@ import scipy.fft
 
 from . import transforms
 from .errors import (
-    InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _count, _finite, _need, _reals, _whole,
+    InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _config, _count, _finite, _need, _reals,
+    _whole,
 )
 from .signal import (
-    _CHUNK_SAMPLES, FrameConfig, Waveform, _check_frame_count, _config, _frame_blocks, _geometry, _NameValue,
-    _overlap_add, _Samples,
+    _CHUNK_SAMPLES, FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _NameValue, _overlap_add,
+    _Samples,
 )
 
 __all__ = [

@@ -2,7 +2,7 @@
 
 Containers (a Waveform, a Spectrogram, a BenchSpec, a FrameMatrix) are
 checked by ``errors._need``, whose message is ``<op> needs a <Cls>, got
-<type>``; a frame config or a window kind by ``signal._config``, whose message
+<type>``; a frame config or a window kind by ``errors._config``, whose message
 is ``<name> must be a <Cls>, got <type>`` and which ``FrameMatrix``,
 ``frame_signal``, ``make_window`` and ``vocoder._check_kind_rules`` (shared by
 analysis, Spectrogram, the MVS1 reader and BenchSpec) call; a clip mode by

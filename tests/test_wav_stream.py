@@ -79,11 +79,10 @@ def test_rolling_overlap_add_hands_out_each_chunk_before_it_reads_on():
 
 
 # (config, signal length, frames per block): each grid at the length and block
-# below, then the edges of in-memory framing, whose interior frames are a
-# view of the signal and whose edge frames are built by hand
+# below, then the edges of the rolling window and the windows of ones
 FRAMINGS = [(cfg, 5000 + cfg.hop_length // 3, 37) for cfg in GRIDS] + [
-    (FrameConfig(512, 64), 300, 37),  # centered and shorter than a window: no frame lies inside the signal
-    (FrameConfig(16, 1), 200, 1),  # hop 1, one frame a block: the edge frames span several blocks
+    (FrameConfig(512, 64), 300, 37),  # centered and shorter than a window: every frame reaches the pad
+    (FrameConfig(16, 1), 200, 1),  # hop 1, one frame a block: each block keeps all but one sample
     (FrameConfig(64, 48, centered=False), 1000, 5),  # uncentered, with a 24-sample tail no frame reads
     (FrameConfig(33, 7, WindowKind.boxcar()), 1001, 37),  # windows of ones are not multiplied
     (FrameConfig(40, 9, WindowKind.kaiser(0.0)), 1003, 37),
@@ -92,24 +91,19 @@ FRAMING_IDS = GRID_IDS + ["short-centered", "hop1-block1", "uncentered-tail", "3
 
 
 @pytest.mark.parametrize("cfg,length,block", FRAMINGS, ids=FRAMING_IDS)
-@pytest.mark.parametrize("size", ["memory", 1, 13, 4096, None])
+@pytest.mark.parametrize("size", [1, 13, 4096, None])
 def test_framing_from_chunks_is_framing_the_whole_signal(cfg, length, block, size):
-    """Both sources frame to the oracle's bits, -0.0 included: an in-memory
-    signal (a tuple of the one array) and chunks, all in one chunk for None."""
+    """Chunks of every size, all in one chunk for None as a Waveform passes
+    them, frame to the oracle's bits, -0.0 included."""
     samples = np.random.default_rng(7).normal(size=length)
     samples[::11] = -0.0
     x = Waveform(samples, 16000)
-
-    def source():
-        if size == "memory":
-            return (x.samples,)  # a Waveform's one-array tuple: framed where it lies
-        return iter((x.samples,) if size is None else pieces(x.samples, size))
-
+    chunks = (x.samples,) if size is None else pieces(x.samples, size)
     want = oracle_frame_signal(x, cfg)
-    got = np.concatenate([f.copy() for _, f in _frame_blocks(source(), len(x), cfg, block)])
+    got = np.concatenate([f.copy() for _, f in _frame_blocks(iter(chunks), len(x), cfg, block)])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     out = np.empty_like(want)
-    starts = [i for i, _ in _frame_blocks(source(), len(x), cfg, block, out)]
+    starts = [i for i, _ in _frame_blocks(iter(chunks), len(x), cfg, block, out)]
     assert starts == list(range(0, len(want), block)) and out.tobytes() == want.tobytes()
 
 
