@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, MeasurementError, _count, _finite, _need
+from .errors import InvalidConfigError, MeasurementError, _choice, _count, _finite, _need
 from .signal import FrameConfig, Waveform
 from .vocoder import ClipMode, _check_kind_rules, _spectrum, _synthesis, _waveform, analyze, synthesize
 
@@ -61,10 +61,7 @@ class BenchSpec:
         object.__setattr__(self, "sample_rate", _count("sample_rate", self.sample_rate, 1))
         object.__setattr__(self, "runs", _count("runs", self.runs, 1))
         object.__setattr__(self, "warmup_runs", _count("warmup_runs", self.warmup_runs, 0))
-        if self.stage not in STAGES:
-            raise InvalidConfigError(
-                f"unknown stage {self.stage!r}; expected one of {STAGES}"
-            )
+        _choice("stage", self.stage, STAGES)
         object.__setattr__(self, "workers", _count("workers", self.workers, 1))
 
 

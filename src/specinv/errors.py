@@ -7,10 +7,13 @@ are the one definition of a finite and of a whole number that the
 parameter checks share, so NaN, inf or a non-number fails the check with
 its own error instead of escaping from ``int()`` or ``np.isfinite``;
 ``_count`` is the check of a count such as ``workers`` or ``runs``,
-``_need`` the check that an operation got the container type it takes (a
-Waveform, a Spectrogram, ...), ``_config`` the check that a parameter object
-(a frame config, a window kind) has its type, and ``_reals`` the one way
-array input enters the library.
+``_choice`` the check of a name picked from a table (a window, a clip
+mode, a bench stage), ``_need`` the check that an operation got the
+container type it takes (a Waveform, a Spectrogram, ...), ``_config`` the
+check that a parameter object (a frame config, a window kind) has its type,
+and ``_reals`` the one way array input enters the library.  A config
+stores the int ``_count`` returns, so a whole float such as 64.0 never
+reaches numpy as a size.
 """
 import math
 import numbers
@@ -77,6 +80,13 @@ def _count(name: str, value, low: int) -> int:
     if not _whole(value):
         raise InvalidConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _choice(noun: str, value, names: tuple) -> str:
+    """``value`` once it is a str in ``names``, else an InvalidConfigError naming the choices."""
+    if not (isinstance(value, str) and value in names):
+        raise InvalidConfigError(f"unknown {noun} {value!r}; expected one of {names}")
+    return value
 
 
 def _need(op: str, value, cls: type):

@@ -343,7 +343,7 @@ def _write_wav(path, x: _Samples, encoding: str) -> None:
     finite: those of a :class:`Waveform`, or synthesis of float32-range
     MVS1 values or of WAV samples, neither of which can overflow float64.
     """
-    if encoding not in _WAV_ENCODINGS:
+    if not (isinstance(encoding, str) and encoding in _WAV_ENCODINGS):
         raise InvalidInputError(f"unknown encoding {encoding!r}; use {' or '.join(map(repr, _WAV_ENCODINGS))}")
     fmt_code, block_align = _WAV_ENCODINGS[encoding]
     byte_rate = x.sample_rate * block_align

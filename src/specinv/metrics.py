@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, _count, _need
+from .errors import InvalidConfigError, InvalidInputError, _config, _count, _need
 from .signal import FrameConfig, Waveform, WindowKind
 from .transforms import dct2
 from .vocoder import analyze
@@ -39,11 +39,8 @@ class McdConfig:
 
     def __post_init__(self):
         for name in ("n_mel_bands", "n_cepstra"):
-            # any whole number; the bounds below word their own messages
-            object.__setattr__(self, name, _count(name, getattr(self, name), -math.inf))
-        if self.n_mel_bands < 1:
-            raise InvalidConfigError("n_mel_bands must be positive")
-        if not 0 < self.n_cepstra < self.n_mel_bands:
+            object.__setattr__(self, name, _count(name, getattr(self, name), 1))
+        if self.n_cepstra >= self.n_mel_bands:
             raise InvalidConfigError(
                 f"n_cepstra must satisfy 0 < n_cepstra < n_mel_bands, got "
                 f"{self.n_cepstra} vs {self.n_mel_bands} bands"
@@ -127,8 +124,7 @@ def mcd(reference: Waveform, estimate: Waveform, cfg: McdConfig = McdConfig()) -
     invariant to overall gain.
     """
     _check_pair("mcd", reference, estimate)
-    if not isinstance(cfg, McdConfig):
-        raise InvalidConfigError(f"mcd needs an McdConfig, got {type(cfg).__name__}")
+    _config("cfg", cfg, McdConfig)
     if len(reference) == 0:
         raise InvalidInputError("mcd needs at least one analysis frame")
     fb = mel_filterbank(cfg.n_mel_bands, _MCD_FRAMES.win_length, reference.sample_rate, 0.0, reference.sample_rate / 2.0)

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, _config, _finite, _need, _reals, _whole
+from .errors import InvalidConfigError, InvalidInputError, _choice, _config, _count, _finite, _need, _reals, _whole
 
 __all__ = [
     "OLA_EPS",
@@ -88,10 +88,7 @@ class WindowKind(_NameValue):
     _missing, _bad = "kaiser window needs a beta, e.g. 'kaiser:8.0'", "bad kaiser beta"
 
     def __post_init__(self):
-        if self.name not in WINDOW_NAMES:
-            raise InvalidConfigError(
-                f"unknown window {self.name!r}; expected one of {WINDOW_NAMES}"
-            )
+        _choice("window", self.name, WINDOW_NAMES)
         if not _finite(self.beta) or self.beta < 0:
             raise InvalidConfigError(f"kaiser beta must be >= 0, got {self.beta}")
         # np.kaiser divides by i0(beta), which overflows float64 above beta ~709.78.
@@ -127,15 +124,14 @@ class FrameConfig:
     centered: bool = True
 
     def __post_init__(self):
-        if not _whole(self.win_length) or self.win_length < 2:
-            raise InvalidConfigError(f"win_length must be an integer >= 2, got {self.win_length}")
-        if not _whole(self.hop_length) or not 1 <= self.hop_length <= self.win_length:
+        for name, low in (("win_length", 2), ("hop_length", 1)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), low))
+        if self.hop_length > self.win_length:
             raise InvalidConfigError(
                 f"hop_length must satisfy 1 <= hop <= win_length, got "
                 f"hop={self.hop_length} win={self.win_length}"
             )
-        if not isinstance(self.window, WindowKind):
-            raise InvalidConfigError("window must be a WindowKind")
+        _config("window", self.window, WindowKind)
         if not isinstance(self.centered, (bool, np.bool_)):
             raise InvalidConfigError(f"centered must be True or False, got {self.centered!r}")
         object.__setattr__(self, "centered", bool(self.centered))
@@ -160,11 +156,9 @@ class Waveform:
         samples = _reals("waveform", self.samples, 1)
         if not np.isfinite(samples).all():
             raise InvalidInputError("waveform contains NaN or Inf samples")
-        if not _whole(self.sample_rate) or self.sample_rate <= 0:
-            raise InvalidInputError(f"sample_rate must be a positive integer, got {self.sample_rate}")
+        object.__setattr__(self, "sample_rate", _rate(self.sample_rate))
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -213,7 +207,8 @@ class FrameMatrix:
                 f"frame rows must have win_length={self.config.win_length} entries, "
                 f"got {frames.shape[1]}"
             )
-        _check_frame_count(frames.shape[0], self.config, self.original_length)
+        object.__setattr__(self, "original_length", _check_frame_count(len(frames), self.config, self.original_length))
+        object.__setattr__(self, "sample_rate", _rate(self.sample_rate))
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -229,9 +224,7 @@ def make_window(kind: WindowKind, length: int) -> np.ndarray:
     symmetric zeroth-order-Bessel window; boxcar is all ones.
     """
     _config("window", kind, WindowKind)
-    if not _whole(length) or length < 2:
-        raise InvalidConfigError(f"window length must be an integer >= 2, got {length}")
-    length = int(length)
+    length = _count("window length", length, 2)
     if kind.name == "hann":
         n = np.arange(length)
         return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
@@ -262,9 +255,21 @@ def _geometry(config: FrameConfig, length: int) -> tuple[int, int, int]:
     return n_frames, pad, (n_frames - 1) * hop + win
 
 
-def _check_frame_count(n_frames: int, config: FrameConfig, original_length: int) -> None:
+def _rate(sample_rate) -> int:
+    """``sample_rate`` as an int once it is a whole number > 0, else an InvalidInputError.
+
+    The one sample-rate rule of the containers: Waveform, FrameMatrix and Spectrogram.
+    """
+    if not _whole(sample_rate) or sample_rate <= 0:
+        raise InvalidInputError(f"sample_rate must be a positive integer, got {sample_rate}")
+    return int(sample_rate)
+
+
+def _check_frame_count(n_frames: int, config: FrameConfig, original_length) -> int:
+    """``original_length`` as an int once it is a whole number >= 0 that ``n_frames`` frames of ``config`` cover."""
     if not _whole(original_length) or original_length < 0:
         raise InvalidInputError(f"original_length must be a whole number >= 0, got {original_length!r}")
+    original_length = int(original_length)
     expected = _geometry(config, original_length)[0]
     if n_frames != expected:
         raise InvalidInputError(
@@ -272,6 +277,7 @@ def _check_frame_count(n_frames: int, config: FrameConfig, original_length: int)
             f"win={config.win_length} hop={config.hop_length} "
             f"{'centered' if config.centered else 'uncentered'}: expected {expected}"
         )
+    return original_length
 
 
 def _frame_blocks(chunks, length: int, config: FrameConfig, block: int, out: np.ndarray | None = None):

@@ -18,12 +18,12 @@ import scipy.fft
 
 from . import transforms
 from .errors import (
-    InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _config, _count, _finite, _need, _reals,
-    _whole,
+    InvalidConfigError, InvalidInputError, SpecinvError, UnsupportedKindError, _choice, _config, _count, _finite, _need,
+    _reals,
 )
 from .signal import (
     _CHUNK_SAMPLES, FrameConfig, Waveform, _check_frame_count, _frame_blocks, _geometry, _NameValue, _overlap_add,
-    _Samples,
+    _rate, _Samples,
 )
 
 __all__ = [
@@ -113,16 +113,12 @@ class ClipMode(_NameValue):
     _missing, _bad = "threshold clipping needs a level, e.g. 'threshold:0.05'", "bad threshold level"
 
     def __post_init__(self):
-        if self.mode not in CLIP_MODES:
-            raise InvalidConfigError(
-                f"unknown clip mode {self.mode!r}; expected one of {CLIP_MODES}"
-            )
-        if self.mode == "threshold":
+        if _choice("clip mode", self.mode, CLIP_MODES) == "threshold":
             if not (_finite(self.tau) and 0.0 < self.tau < 1.0):
                 raise InvalidConfigError(
                     f"threshold tau must lie in (0, 1), got {self.tau}"
                 )
-        elif self.tau != 0.0:
+        elif not _finite(self.tau) or self.tau != 0.0:
             raise InvalidConfigError("tau is only meaningful for threshold clipping")
 
     @classmethod
@@ -207,8 +203,7 @@ def _check_metadata(kind, config, clip, sample_rate, original_length, n_frames, 
             f"{bins} bins per frame, got {n_bins}"
         )
     _check_frame_count(n_frames, config, original_length)
-    if not _whole(sample_rate) or sample_rate <= 0:
-        raise InvalidInputError(f"sample_rate must be a positive integer, got {sample_rate}")
+    _rate(sample_rate)
 
 
 def _check_rows(rows: np.ndarray, kind: str, clip: ClipMode) -> None:

@@ -106,7 +106,7 @@ def test_mcd_length_mismatch_rejected(rng):
 @pytest.mark.parametrize(
     "call,error,message",
     [
-        (lambda x: mcd(x, x, "c"), InvalidConfigError, "mcd needs an McdConfig, got str"),
+        (lambda x: mcd(x, x, "c"), InvalidConfigError, "cfg must be a McdConfig, got str"),
         (lambda x: mcd(x, None), InvalidInputError, "mcd needs a Waveform, got NoneType"),
         (lambda x: mcd("a", x), InvalidInputError, "mcd needs a Waveform, got str"),
         (lambda x: mcd(x.samples, x), InvalidInputError, "mcd needs a Waveform, got ndarray"),
@@ -161,7 +161,7 @@ def test_mcd_config_takes_whole_counts(field, value, message):
 def test_mcd_config_needs_a_mel_band():
     with pytest.raises(InvalidConfigError) as exc:
         McdConfig(n_mel_bands=0)
-    assert str(exc.value) == "n_mel_bands must be positive"
+    assert str(exc.value) == "n_mel_bands must be >= 1"
 
 
 def test_mcd_config_stores_whole_float_counts_as_ints(rng):

@@ -132,25 +132,25 @@ def test_waveform_locks_the_array_it_was_built_from():
 @pytest.mark.parametrize(
     "build,error,message",
     [
-        (lambda: FrameConfig(float("nan"), 2), InvalidConfigError, "win_length must be an integer >= 2, got nan"),
-        (lambda: FrameConfig(float("inf"), 2), InvalidConfigError, "win_length must be an integer >= 2, got inf"),
-        (lambda: FrameConfig("4", 2), InvalidConfigError, "win_length must be an integer >= 2, got 4"),
-        (lambda: FrameConfig(4.5, 2), InvalidConfigError, "win_length must be an integer >= 2, got 4.5"),
+        (lambda: FrameConfig(float("nan"), 2), InvalidConfigError, "win_length must be a whole number, got nan"),
+        (lambda: FrameConfig(float("inf"), 2), InvalidConfigError, "win_length must be a whole number, got inf"),
+        (lambda: FrameConfig("4", 2), InvalidConfigError, "win_length must be a whole number, got '4'"),
+        (lambda: FrameConfig(4.5, 2), InvalidConfigError, "win_length must be a whole number, got 4.5"),
         (
             lambda: FrameConfig(4, float("nan")), InvalidConfigError,
-            "hop_length must satisfy 1 <= hop <= win_length, got hop=nan win=4",
+            "hop_length must be a whole number, got nan",
         ),
         (
             lambda: FrameConfig(4, float("-inf")), InvalidConfigError,
-            "hop_length must satisfy 1 <= hop <= win_length, got hop=-inf win=4",
+            "hop_length must be >= 1",
         ),
         (
             lambda: make_window(WindowKind.hann(), float("inf")), InvalidConfigError,
-            "window length must be an integer >= 2, got inf",
+            "window length must be a whole number, got inf",
         ),
         (
             lambda: make_window(WindowKind.hann(), 2.5), InvalidConfigError,
-            "window length must be an integer >= 2, got 2.5",
+            "window length must be a whole number, got 2.5",
         ),
         (lambda: Waveform([0.0], float("nan")), InvalidInputError, "sample_rate must be a positive integer, got nan"),
         (lambda: Waveform([0.0], float("inf")), InvalidInputError, "sample_rate must be a positive integer, got inf"),
@@ -181,7 +181,7 @@ def test_frame_config_stores_a_numpy_bool_as_a_bool():
 @pytest.mark.parametrize(
     "build,error,message",
     [
-        (lambda: FrameConfig(4, 2, window="hann"), InvalidConfigError, "window must be a WindowKind"),
+        (lambda: FrameConfig(4, 2, window="hann"), InvalidConfigError, "window must be a WindowKind, got str"),
         (lambda: WindowKind.parse(5), InvalidConfigError, "window spec must be a string, got 5"),
         (lambda: WindowKind.parse(b"hann"), InvalidConfigError, "window spec must be a string, got b'hann'"),
         (lambda: FrameMatrix(np.zeros(4), FrameConfig(4, 2), 4, 22050), InvalidInputError,
