@@ -122,11 +122,31 @@ def test_a_whole_float_count_is_stored_as_an_int_and_gives_the_int_bytes(tmp_pat
          "unknown encoding array('pcm16', dtype='<U5'); use 'pcm16' or 'float32'"),
         (lambda p: FrameMatrix(frame_signal(X, CFG).frames, CFG, 400, 0), InvalidInputError,
          "sample_rate must be a positive integer, got 0"),
+        # bytes and None were typed before; these pin that their messages stay as they were
+        (lambda p: WindowKind(b"hann"), InvalidConfigError,
+         "unknown window b'hann'; expected one of ('hann', 'kaiser', 'boxcar')"),
+        (lambda p: WindowKind(None), InvalidConfigError,
+         "unknown window None; expected one of ('hann', 'kaiser', 'boxcar')"),
+        (lambda p: ClipMode(b"none"), InvalidConfigError,
+         "unknown clip mode b'none'; expected one of ('none', 'zero', 'threshold')"),
+        (lambda p: ClipMode(None), InvalidConfigError,
+         "unknown clip mode None; expected one of ('none', 'zero', 'threshold')"),
+        (lambda p: BenchSpec("dct", CFG, stage=b"roundtrip"), InvalidConfigError,
+         "unknown stage b'roundtrip'; expected one of ('synthesize_only', 'analyze_only', 'roundtrip')"),
+        (lambda p: BenchSpec("dct", CFG, stage=None), InvalidConfigError,
+         "unknown stage None; expected one of ('synthesize_only', 'analyze_only', 'roundtrip')"),
+        (lambda p: ClipMode("none", b"0"), InvalidConfigError, "tau is only meaningful for threshold clipping"),
+        (lambda p: ClipMode("zero", None), InvalidConfigError, "tau is only meaningful for threshold clipping"),
+        (lambda p: write_wav(p, X, b"pcm16"), InvalidInputError,
+         "unknown encoding b'pcm16'; use 'pcm16' or 'float32'"),
+        (lambda p: write_wav(p, X, None), InvalidInputError, "unknown encoding None; use 'pcm16' or 'float32'"),
     ],
     ids=["window-array", "window-zeros", "clip-mode-0d-array", "clip-mode-zeros", "stage-array", "stage-zeros",
-         "none-tau-zeros", "zero-tau-zeros", "wav-encoding-0d-array", "frame-matrix-rate-0"],
+         "none-tau-zeros", "zero-tau-zeros", "wav-encoding-0d-array", "frame-matrix-rate-0",
+         "window-bytes", "window-none", "clip-mode-bytes", "clip-mode-none", "stage-bytes", "stage-none",
+         "none-tau-bytes", "zero-tau-none", "wav-encoding-bytes", "wav-encoding-none"],
 )
-def test_an_array_for_a_name_or_a_zero_rate_is_a_typed_error(tmp_path, call, error, message):
+def test_an_array_bytes_or_none_for_a_name_or_a_zero_rate_is_a_typed_error(tmp_path, call, error, message):
     path = tmp_path / "out.wav"
     with pytest.raises(error) as exc:
         call(path)
