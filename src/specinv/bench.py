@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, MeasurementError, _choice, _count, _finite, _need
+from .errors import InvalidConfigError, InvalidInputError, MeasurementError, _choice, _count, _finite, _need
 from .signal import FrameConfig, Waveform
 from .vocoder import ClipMode, _check_kind_rules, _spectrum, _synthesis, _waveform, analyze, synthesize
 
@@ -24,7 +24,6 @@ __all__ = [
     "BenchSpec",
     "BenchReport",
     "run_bench",
-    "make_tone",
     "to_jsonl",
 ]
 
@@ -105,7 +104,7 @@ class BenchReport:
         return "\t".join(format(row[column], _TSV_FORMATS.get(column, "")) for column in TSV_COLUMNS)
 
 
-def make_tone(duration: float, sample_rate: int) -> Waveform:
+def _tone(duration: float, sample_rate: int) -> Waveform:
     """Deterministic 440 Hz test tone, half full scale: the clip ``run_bench`` times."""
     try:
         t = np.arange(int(round(duration * sample_rate))) / sample_rate
@@ -117,14 +116,16 @@ def make_tone(duration: float, sample_rate: int) -> Waveform:
 def run_bench(spec: BenchSpec, clock=time.perf_counter) -> BenchReport:
     """Execute the timing protocol for one pipeline configuration.
 
-    The clip is ``make_tone(spec.clip_duration, spec.sample_rate)``.
+    The clip is ``_tone(spec.clip_duration, spec.sample_rate)``.
     Performs ``spec.warmup_runs`` untimed executions (no clock reads), then
     ``spec.runs`` timed executions of exactly the chosen stage.  For
     ``synthesize_only`` the spectrogram is computed before any timing
     starts.  The timed stage runs single-threaded unless ``spec.workers``
     says otherwise, and the setting is echoed in the report.
     """
-    x = make_tone(_need("run_bench", spec, BenchSpec).clip_duration, spec.sample_rate)
+    if not callable(clock):
+        raise InvalidConfigError(f"clock must be callable, got {type(clock).__name__}")
+    x = _tone(_need("run_bench", spec, BenchSpec).clip_duration, spec.sample_rate)
 
     if spec.stage == "synthesize_only":
         gram = analyze(x, spec.config, spec.kind, spec.clip, workers=spec.workers)
@@ -158,5 +159,7 @@ def run_bench(spec: BenchSpec, clock=time.perf_counter) -> BenchReport:
 
 
 def to_jsonl(reports) -> str:
-    """Render reports as line-delimited JSON records."""
-    return "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in reports)
+    """Render a list or tuple of reports as line-delimited JSON records."""
+    if not isinstance(reports, (list, tuple)):
+        raise InvalidInputError(f"to_jsonl needs a list of BenchReport, got {type(reports).__name__}")
+    return "\n".join(json.dumps(_need("to_jsonl", r, BenchReport).to_dict(), sort_keys=True) for r in reports)

@@ -17,6 +17,7 @@ reaches numpy as a size.
 """
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -70,15 +71,18 @@ def _whole(value) -> bool:
 
 
 def _count(name: str, value, low: int) -> int:
-    """``value`` as an int once it is a whole number >= ``low``, else an InvalidConfigError.
+    """``value`` as an int once it is a whole number from ``low`` to ``sys.maxsize``, else an InvalidConfigError.
 
     A real number below ``low``, -inf included, gets ``"<name> must be >=
     <low>"``; NaN, inf, fractions and non-numbers are not whole numbers.
+    ``sys.maxsize`` is the largest size numpy and scipy accept.
     """
     if isinstance(value, numbers.Real) and value < low:
         raise InvalidConfigError(f"{name} must be >= {low}")
     if not _whole(value):
         raise InvalidConfigError(f"{name} must be a whole number, got {value!r}")
+    if value > sys.maxsize:
+        raise InvalidConfigError(f"{name} must be <= {sys.maxsize}")
     return int(value)
 
 

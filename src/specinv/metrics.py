@@ -16,7 +16,7 @@ from .signal import FrameConfig, Waveform, WindowKind
 from .transforms import dct2
 from .vocoder import analyze
 
-__all__ = ["McdConfig", "snr_db", "mcd", "mel_filterbank"]
+__all__ = ["McdConfig", "snr_db", "mcd"]
 
 # Floor applied before the log of mel band energies.
 LOG_FLOOR = 1e-10
@@ -85,15 +85,15 @@ def _mel_to_hz(mel):
     return hz
 
 
-def mel_filterbank(
-    n_bands: int, n_fft: int, sample_rate: int, fmin: float, fmax: float
-) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_bands, n_fft//2 + 1).
+def _mel_bank(n_bands: int, sample_rate: int) -> np.ndarray:
+    """The triangular mel filterbank of ``mcd``'s frames, shape (n_bands, win_length // 2 + 1).
 
-    Band edges are spaced uniformly on the mel scale between fmin and fmax
-    and each triangle is scaled to unit area (2 / bandwidth in Hz).
+    Band edges are spaced uniformly on the mel scale between 0 Hz and
+    sample_rate / 2 and each triangle is scaled to unit area (2 / bandwidth
+    in Hz).
     """
-    edges = _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_bands + 2))
+    n_fft = _MCD_FRAMES.win_length
+    edges = _mel_to_hz(np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), n_bands + 2))
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     fb = np.zeros((n_bands, bin_freqs.shape[0]))
     for b in range(n_bands):
@@ -127,7 +127,7 @@ def mcd(reference: Waveform, estimate: Waveform, cfg: McdConfig = McdConfig()) -
     _config("cfg", cfg, McdConfig)
     if len(reference) == 0:
         raise InvalidInputError("mcd needs at least one analysis frame")
-    fb = mel_filterbank(cfg.n_mel_bands, _MCD_FRAMES.win_length, reference.sample_rate, 0.0, reference.sample_rate / 2.0)
+    fb = _mel_bank(cfg.n_mel_bands, reference.sample_rate)
     c_ref = _cepstra(reference, cfg, fb)
     c_est = _cepstra(estimate, cfg, fb)
     per_frame = np.sqrt(2.0 * np.sum((c_ref - c_est) ** 2, axis=1))

@@ -163,11 +163,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return len(self) / self.sample_rate
-
     def _source(self) -> "_Samples":
         """This waveform as a sample stream whose one chunk is ``samples``."""
         return _Samples(self.sample_rate, len(self), (self.samples,))
@@ -210,10 +205,6 @@ class FrameMatrix:
         object.__setattr__(self, "original_length", _check_frame_count(len(frames), self.config, self.original_length))
         object.__setattr__(self, "sample_rate", _rate(self.sample_rate))
         object.__setattr__(self, "frames", frames)
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
 
 
 def make_window(kind: WindowKind, length: int) -> np.ndarray:

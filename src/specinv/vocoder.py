@@ -171,17 +171,6 @@ class Spectrogram:
         return _Stream(self.kind, self.config, self.clip, self.sample_rate, self.original_length,
                        lambda: _row_blocks(self.data))
 
-    def tau_floor(self) -> float:
-        return _tau_floor(self.clip)
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[1]
-
 
 def _row_blocks(data: np.ndarray):
     """``data``'s rows as views of ``_BLOCK_FRAMES`` rows each, in order."""

@@ -17,9 +17,9 @@ PUBLIC_NAMES = frozenset(
         "SPECTROGRAM_KINDS", "CLIP_MODES", "ClipMode", "Spectrogram", "expected_bins",
         "apply_clip", "analyze", "synthesize",
         # metrics
-        "McdConfig", "snr_db", "mcd", "mel_filterbank",
+        "McdConfig", "snr_db", "mcd",
         # bench
-        "BenchSpec", "BenchReport", "run_bench", "make_tone", "to_jsonl",
+        "BenchSpec", "BenchReport", "run_bench", "to_jsonl",
         # io
         "read_wav", "write_wav", "wav_info", "read_spec", "write_spec", "spec_info",
         "MultiChannelWarning",

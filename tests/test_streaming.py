@@ -42,7 +42,7 @@ def mvs1_header(spec):
     values = (
         b"MVS1", 1, SPECTROGRAM_KINDS.index(spec.kind), WINDOW_NAMES.index(cfg.window.name),
         CLIP_MODES.index(spec.clip.mode), spec.clip.tau, cfg.window.beta, cfg.win_length, cfg.hop_length,
-        int(cfg.centered), spec.sample_rate, spec.original_length, spec.n_frames, spec.n_bins,
+        int(cfg.centered), spec.sample_rate, spec.original_length, *spec.data.shape,
     )
     return struct.pack("<" + "".join(code for _, code in MVS1_FIELDS), *values)
 
@@ -180,7 +180,7 @@ def test_a_spectrogram_streams_its_rows_as_it_holds_them(kind, clip):
     stream = spec._stream()
     assert stream[:-1] == (spec.kind, spec.config, spec.clip, spec.sample_rate, spec.original_length)
     views = list(stream.blocks())
-    assert [len(rows) for rows in views] == [_BLOCK_FRAMES, _BLOCK_FRAMES, spec.n_frames - 2 * _BLOCK_FRAMES]
+    assert [len(rows) for rows in views] == [_BLOCK_FRAMES, _BLOCK_FRAMES, spec.data.shape[0] - 2 * _BLOCK_FRAMES]
     assert all(np.shares_memory(rows, spec.data) for rows in views)
     assert np.array_equal(np.concatenate(views), spec.data)
 
@@ -358,7 +358,7 @@ def test_roundtrip_builds_no_spectrogram(monkeypatch, tmp_path):
         bench.BenchSpec("dct", FrameConfig(64, 16), ClipMode.zero(), clip_duration=len(x) / 16000,
                         sample_rate=16000, runs=1, warmup_runs=0, stage="roundtrip"),
     )
-    assert report.samples_generated == len(x) == len(bench.make_tone(len(x) / 16000, 16000))
+    assert report.samples_generated == len(x) == len(bench._tone(len(x) / 16000, 16000))
     code = run_cli("roundtrip", tmp_path / "in.wav", tmp_path / "out.wav", "--algo", "dct", "--win", 64,
                    "--hop", 16, "--clip", "zero")
     assert code == (0, "", "")

@@ -8,15 +8,20 @@ is ``<name> must be a <Cls>, got <type>`` and which ``FrameMatrix``,
 analysis, Spectrogram, the MVS1 reader and BenchSpec) call; a clip mode by
 ``_check_kind_rules`` itself.  A name picked from a table (a window, a clip
 mode, a bench stage) is checked by ``errors._choice``, and a count by
-``errors._count``, whose int a config stores.
+``errors._count``, whose int a config stores and which refuses a count past
+``sys.maxsize``, the largest size numpy and scipy accept.
 """
+import sys
+
 import numpy as np
 import pytest
 
-from specinv.bench import BenchSpec, run_bench
-from specinv.errors import InvalidConfigError, InvalidInputError
+from specinv import bench
+from specinv.bench import BenchReport, BenchSpec, run_bench, to_jsonl
+from specinv.errors import InvalidConfigError, InvalidInputError, _count
 from specinv.io import write_spec, write_wav
 from specinv.signal import FrameConfig, FrameMatrix, Waveform, WindowKind, frame_signal, make_window, overlap_add
+from specinv.transforms import dct2
 from specinv.vocoder import ClipMode, Spectrogram, analyze, expected_bins, synthesize
 
 X = Waveform(np.zeros(400), 8000)
@@ -152,3 +157,41 @@ def test_an_array_bytes_or_none_for_a_name_or_a_zero_rate_is_a_typed_error(tmp_p
         call(path)
     assert type(exc.value) is error and str(exc.value) == message
     assert not path.exists()
+
+
+BIG = "must be <= 9223372036854775807"
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: FrameConfig(2**64, 16), InvalidConfigError, f"win_length {BIG}"),
+        (lambda: FrameConfig(64, sys.maxsize + 1), InvalidConfigError, f"hop_length {BIG}"),
+        (lambda: FrameConfig(2.0**64, 16), InvalidConfigError, f"win_length {BIG}"),
+        (lambda: make_window(WindowKind(), 2**64), InvalidConfigError, f"window length {BIG}"),
+        # refused by the count check, before scipy is asked for any thread
+        (lambda: analyze(X, CFG, "dct", workers=2**64), InvalidConfigError, f"workers {BIG}"),
+        (lambda: synthesize(analyze(X, CFG, "dct"), workers=2**64), InvalidConfigError, f"workers {BIG}"),
+        (lambda: dct2(np.zeros((2, 16)), workers=sys.maxsize + 1), InvalidConfigError, f"workers {BIG}"),
+        (lambda: to_jsonl("x"), InvalidInputError, "to_jsonl needs a list of BenchReport, got str"),
+        (lambda: to_jsonl(r for r in ()), InvalidInputError, "to_jsonl needs a list of BenchReport, got generator"),
+        (lambda: to_jsonl([None]), InvalidInputError, "to_jsonl needs a BenchReport, got NoneType"),
+        (lambda: run_bench(BenchSpec("dct", CFG), clock=None), InvalidConfigError,
+         "clock must be callable, got NoneType"),
+        (lambda: run_bench(BenchSpec("dct", CFG), clock=0.0), InvalidConfigError, "clock must be callable, got float"),
+    ],
+    ids=["win-2**64", "hop-maxsize+1", "win-float-2**64", "window-length-2**64", "analyze-workers",
+         "synthesize-workers", "dct2-workers", "to_jsonl-str", "to_jsonl-generator", "to_jsonl-none-report",
+         "clock-none", "clock-float"],
+)
+def test_a_count_past_the_largest_size_a_bad_report_list_or_clock_is_a_typed_error(monkeypatch, call, error, message):
+    monkeypatch.setattr(bench, "_tone", None)  # a refused clock never builds the tone
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_the_largest_count_is_sys_maxsize_and_a_tuple_of_reports_is_a_list():
+    assert _count("n", sys.maxsize, 1) == sys.maxsize and type(_count("n", float(2**62), 1)) is int
+    report = BenchReport(0.5, 0.0, 2, 0.004, 0.5, BenchSpec("dct", CFG))
+    assert to_jsonl((report, report)) == to_jsonl([report, report])

@@ -111,7 +111,7 @@ def test_analyze_packed_matches_per_frame_oracle(rng):
     cfg = FrameConfig(1024, 256, WindowKind.hann(), centered=True)
     spec = analyze(x, cfg, "packed_rfft")
     frames = oracle_frame_signal(x, cfg)
-    assert spec.n_frames == frames.shape[0]
+    assert spec.data.shape[0] == frames.shape[0]
     want = np.array([oracle_rfft_packed(f) for f in frames])
     assert np.max(np.abs(spec.data - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -119,7 +119,7 @@ def test_analyze_packed_matches_per_frame_oracle(rng):
 def test_analyze_magnitude_bins_and_nonnegativity(rng):
     x = Waveform(rng.normal(size=4000), 22050)
     spec = analyze(x, FrameConfig(256, 64), "magnitude")
-    assert spec.n_bins == 256 // 2 + 1
+    assert spec.data.shape[1] == 256 // 2 + 1
     assert expected_bins("magnitude", 256) == 129
     assert spec.data.min() >= 0.0
 
@@ -128,7 +128,7 @@ def test_analyze_kind_bin_counts(rng):
     x = Waveform(rng.normal(size=4000), 22050)
     for kind in ("real_fft", "dct", "packed_rfft"):
         spec = analyze(x, FrameConfig(256, 64), kind)
-        assert spec.n_bins == 256
+        assert spec.data.shape[1] == 256
 
 
 def test_analyze_zero_clip_output_nonnegative(rng):
@@ -164,7 +164,7 @@ UNSIGNED_RULE = "magnitude spectrograms are already nonnegative; use clip none"
 def test_kind_rules_hold_in_analyze_and_spectrogram(rng, monkeypatch, kind, win, clip, message):
     x = Waveform(rng.normal(size=4000), 22050)
     cfg = FrameConfig(win, 64)
-    data = np.zeros((frame_signal(x, cfg).n_frames, expected_bins(kind, win)))
+    data = np.zeros((frame_signal(x, cfg).frames.shape[0], expected_bins(kind, win)))
 
     def no_framing(*args):
         raise AssertionError("a rejected config must not be framed")
@@ -380,7 +380,7 @@ def test_spectrogram_invariant_enforcement(rng):
 def test_spectrogram_rejects_wrong_frame_count(rng, kind, centered, delta):
     x = Waveform(rng.normal(size=301), 22050)
     spec = analyze(x, FrameConfig(32, 7, centered=centered), kind)
-    data = np.zeros((spec.n_frames + delta, spec.n_bins))
+    data = np.zeros((spec.data.shape[0] + delta, spec.data.shape[1]))
     with pytest.raises(InvalidInputError, match="frames do not match"):
         Spectrogram(kind, data, spec.config, spec.clip, 22050, spec.original_length)
 
